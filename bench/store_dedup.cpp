@@ -11,8 +11,12 @@
 ///
 ///   * pool bytes vs the artifacts stored naively (one full copy each) —
 ///     the cross-region dedup win the ELF-aware chunking is built for,
-///   * the cost of integrity: verified reassembly (every chunk re-hashed
-///     plus the whole-artifact digest check) vs a plain file read.
+///   * the cost of integrity: verified reassembly (every distinct chunk
+///     read once and re-hashed, plus the whole-artifact digest check) vs a
+///     plain file read,
+///   * the store layer's per-artifact latencies: median putArtifact into
+///     an empty pool and into a pool that already holds every chunk, and
+///     median materializeArtifact (reported, not gated).
 ///
 /// Runs as a labelled ctest (`ctest -L "bench|store"`) and fails if dedup
 /// or byte-identity regress, so the storage claim stays a tested claim.
@@ -23,6 +27,7 @@
 #include "core/Pinball2Elf.h"
 #include "store/Artifact.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 
@@ -43,6 +48,11 @@ double secondsSince(std::chrono::steady_clock::time_point T0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        T0)
       .count();
+}
+
+double medianMs(std::vector<double> Secs) {
+  std::sort(Secs.begin(), Secs.end());
+  return Secs.empty() ? 0.0 : 1e3 * Secs[Secs.size() / 2];
 }
 
 } // namespace
@@ -128,6 +138,35 @@ int main() {
               PlainBytes / PlainSecs / 1e6,
               PlainSecs > 0 ? VerifySecs / PlainSecs : 0.0);
   check(VerifiedBytes == PlainBytes, "both paths read the same bytes");
+
+  // Per-artifact store latencies, one sample per artifact per round.
+  constexpr int Rounds = 5;
+  std::vector<double> PutEmpty, PutPresent, Materialize;
+  for (int R = 0; R < Rounds; ++R)
+    for (size_t I = 0; I < Images.size(); ++I) {
+      std::string Fresh = Dir + formatString("/empty%d.%zu", R, I);
+      auto Empty = exitOnError(store::ChunkStore::open(Fresh));
+      T0 = std::chrono::steady_clock::now();
+      exitOnError(store::putArtifact(Empty, "a", Images[I]));
+      PutEmpty.push_back(secondsSince(T0));
+      removeTree(Fresh);
+
+      T0 = std::chrono::steady_clock::now();
+      exitOnError(store::putArtifact(
+          Pool, formatString("again%d.%zu", R, I), Images[I]));
+      PutPresent.push_back(secondsSince(T0));
+
+      T0 = std::chrono::steady_clock::now();
+      exitOnError(store::materializeArtifact(
+          Pool, formatString("region%zu.elfie", I),
+          Dir + formatString("/region%zu.out", I)));
+      Materialize.push_back(secondsSince(T0));
+    }
+  std::printf("store_dedup: per artifact (median of %zu): putArtifact "
+              "%.2f ms into an empty pool, %.2f ms with every chunk "
+              "present; materializeArtifact %.2f ms\n",
+              PutEmpty.size(), medianMs(PutEmpty), medianMs(PutPresent),
+              medianMs(Materialize));
 
   removeTree(Dir);
   if (Failures) {

@@ -329,10 +329,13 @@ Error FleetEngine::materializeStoreTargets() {
       continue;
     std::string Name = J.Target.substr(9);
     std::string Out = Opts.OutDir + "/artifacts/" + Name;
-    if (Error E = store::materializeArtifact(*Pool, Name, Out))
+    store::Manifest M;
+    if (Error E = store::materializeArtifact(*Pool, Name, Out, &M))
       return E.withContext(formatString("materializing %s for job %s",
                                         J.Target.c_str(), J.Id.c_str()));
-    verbose("materialized %s -> %s", J.Target.c_str(), Out.c_str());
+    verbose("materialized %s -> %s (%llu bytes, sha256 %s)",
+            J.Target.c_str(), Out.c_str(),
+            static_cast<unsigned long long>(M.Size), M.Total.hex().c_str());
     J.Target = Out;
   }
   return Error::success();

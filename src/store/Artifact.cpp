@@ -11,6 +11,8 @@
 #include "support/FileIO.h"
 
 #include <algorithm>
+#include <map>
+#include <set>
 
 using namespace elfie;
 using namespace elfie::elf;
@@ -97,17 +99,27 @@ Expected<Manifest> elfie::store::putArtifact(ChunkStore &S,
   M.Size = Bytes.size();
   M.Total = Sha256::digest(Bytes);
 
+  // Hash everything first; each distinct digest is pinned and put once.
+  std::set<Sha256Digest> Seen;
+  std::vector<Sha256Digest> Distinct;
+  std::vector<std::span<const uint8_t>> Pieces; // bytes of Distinct[I]
   for (auto [Off, Len] : chunkBoundaries(Bytes, M.Kind)) {
     std::span<const uint8_t> Piece = Bytes.subspan(Off, Len);
-    Sha256Digest D = Sha256::digest(Piece);
-    // Pin before put: from the instant the chunk exists it has a GC root,
-    // even if we die before the manifest publishes.
-    if (Error E = S.pin(Name, D))
-      return E;
+    M.Chunks.push_back({Off, Len, Sha256::digest(Piece)});
+    if (Seen.insert(M.Chunks.back().Digest).second) {
+      Distinct.push_back(M.Chunks.back().Digest);
+      Pieces.push_back(Piece);
+    }
+  }
+
+  // Pin before put: from the instant any chunk exists it has a GC root,
+  // even if we die before the manifest publishes.
+  if (Error E = S.pin(Name, Distinct))
+    return E;
+  for (std::span<const uint8_t> Piece : Pieces) {
     auto Put = S.put(Piece);
     if (!Put)
       return Put.takeError();
-    M.Chunks.push_back({Off, Len, D});
   }
 
   if (Error E = S.putManifest(M))
@@ -118,49 +130,63 @@ Expected<Manifest> elfie::store::putArtifact(ChunkStore &S,
   return M;
 }
 
-Expected<std::vector<uint8_t>>
-elfie::store::loadArtifact(const ChunkStore &S, const std::string &Name) {
-  auto M = S.getManifest(Name);
-  if (!M)
-    return M.takeError();
-  std::vector<uint8_t> Out;
-  Out.reserve(M->Size);
-  for (const ChunkRef &C : M->Chunks) {
-    auto View = S.openChunk(C.Digest);
-    if (!View)
-      return View.takeError();
-    if (View->File.size() != C.Size)
-      return makeCodedError("EFAULT.STORE.MANIFEST",
-                            "chunk %s is %zu bytes but manifest '%s' "
-                            "records %llu",
-                            C.Digest.hex().c_str(), View->File.size(),
-                            Name.c_str(),
-                            static_cast<unsigned long long>(C.Size));
-    auto Span = View->File.span();
-    Out.insert(Out.end(), Span.begin(), Span.end());
+namespace {
+
+/// Reassembles \p M: each distinct digest is read and verified once, in
+/// place at its first offset; repeats copy the verified bytes.
+Expected<std::vector<uint8_t>> assemble(const ChunkStore &S,
+                                        const Manifest &M) {
+  std::vector<uint8_t> Out(M.Size);
+  std::map<Sha256Digest, const ChunkRef *> First;
+  for (const ChunkRef &C : M.Chunks) {
+    std::span<uint8_t> Dst(Out.data() + C.Offset, C.Size);
+    auto [It, New] = First.try_emplace(C.Digest, &C);
+    // A repeat of another size cannot match the chunk file: re-reading it
+    // reports the size mismatch.
+    if (!New && It->second->Size == C.Size) {
+      std::copy_n(Out.data() + It->second->Offset, C.Size, Dst.data());
+      continue;
+    }
+    if (Error E = S.readChunkInto(C, Dst))
+      return E;
   }
   // Belt and braces: per-chunk digests already matched, but the cheap
   // whole-artifact check also catches manifest chunk-list tampering that
   // survived the seal (it cannot, in practice) and our own bugs.
   Sha256Digest Total = Sha256::digest(Out);
-  if (Total != M->Total)
+  if (Total != M.Total)
     return makeCodedError("EFAULT.STORE.DIGEST",
                           "artifact '%s' reassembles to %s but manifest "
                           "records %s",
-                          Name.c_str(), Total.hex().c_str(),
-                          M->Total.hex().c_str());
+                          M.Name.c_str(), Total.hex().c_str(),
+                          M.Total.hex().c_str());
   return Out;
+}
+
+} // namespace
+
+Expected<std::vector<uint8_t>>
+elfie::store::loadArtifact(const ChunkStore &S, const std::string &Name) {
+  auto M = S.getManifest(Name);
+  if (!M)
+    return M.takeError();
+  return assemble(S, *M);
 }
 
 Error elfie::store::materializeArtifact(const ChunkStore &S,
                                         const std::string &Name,
-                                        const std::string &OutPath) {
-  auto M = S.getManifest(Name);
-  if (!M)
-    return M.takeError();
-  auto Bytes = loadArtifact(S, Name);
+                                        const std::string &OutPath,
+                                        Manifest *M) {
+  auto Parsed = S.getManifest(Name);
+  if (!Parsed)
+    return Parsed.takeError();
+  auto Bytes = assemble(S, *Parsed);
   if (!Bytes)
     return Bytes.takeError();
-  return writeFileAtomic(OutPath, Bytes->data(), Bytes->size(),
-                         /*Executable=*/M->Kind == "elf");
+  if (Error E = writeFileAtomic(OutPath, Bytes->data(), Bytes->size(),
+                                /*Executable=*/Parsed->Kind == "elf"))
+    return E;
+  if (M)
+    *M = std::move(*Parsed);
+  return Error::success();
 }

@@ -49,26 +49,30 @@ std::string classifyArtifact(std::span<const uint8_t> Bytes);
 std::vector<std::pair<uint64_t, uint64_t>>
 chunkBoundaries(std::span<const uint8_t> Bytes, const std::string &Kind);
 
-/// Ingests \p Bytes as artifact \p Name: pins each chunk (crash-safe GC
-/// root), puts it, publishes the sealed manifest, then retires the pins.
-/// A kill at any point leaves either no manifest (pins keep the chunks;
-/// re-running converges) or the complete published artifact.
+/// Ingests \p Bytes as artifact \p Name: hashes every chunk, pins the
+/// distinct digests in one fsync'd journal append (crash-safe GC roots,
+/// durable before any chunk lands), puts each distinct chunk once,
+/// publishes the sealed manifest, then retires the pins. A kill at any
+/// point leaves either no manifest (pins keep the chunks; re-running
+/// converges) or the complete published artifact.
 Expected<Manifest> putArtifact(ChunkStore &S, const std::string &Name,
                                std::span<const uint8_t> Bytes,
                                const std::string &Source = "");
 
-/// Reassembles artifact \p Name with end-to-end verification: every chunk
-/// is digest-checked on open and the concatenation is checked against the
-/// manifest's whole-artifact digest. Corruption anywhere is a typed
+/// Reassembles artifact \p Name with end-to-end verification: each
+/// distinct chunk is read once into place and digest-checked there
+/// (repeats are copied from the verified bytes), and the whole artifact is
+/// checked against the manifest's digest. Corruption anywhere is a typed
 /// EFAULT.STORE.* error, never silently wrong bytes.
 Expected<std::vector<uint8_t>> loadArtifact(const ChunkStore &S,
                                             const std::string &Name);
 
 /// loadArtifact + atomic write to \p OutPath (marked executable for
 /// kind "elf"). The produced file is byte-identical with the ingested
-/// original.
+/// original. \p M receives the manifest the bytes were verified against
+/// when non-null.
 Error materializeArtifact(const ChunkStore &S, const std::string &Name,
-                          const std::string &OutPath);
+                          const std::string &OutPath, Manifest *M = nullptr);
 
 } // namespace store
 } // namespace elfie

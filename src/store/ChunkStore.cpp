@@ -42,6 +42,7 @@
 #include "support/FileIO.h"
 #include "support/Format.h"
 
+#include <cassert>
 #include <cerrno>
 #include <cstring>
 #include <sys/stat.h>
@@ -141,32 +142,48 @@ Expected<Sha256Digest> ChunkStore::put(std::span<const uint8_t> Bytes,
   return D;
 }
 
-Expected<ChunkView> ChunkStore::openChunk(const Sha256Digest &D) const {
-  std::string Path = chunkPath(D);
-  if (!fileExists(Path)) {
-    if (fileExists(quarantinePath(D)))
+Error ChunkStore::readChunkInto(const ChunkRef &C,
+                                std::span<uint8_t> Out) const {
+  assert(Out.size() == C.Size && "buffer must be the referenced size");
+  std::string Path = chunkPath(C.Digest);
+  auto Size = readFileInto(Path, Out);
+  if (!Size) {
+    if (fileExists(Path))
+      return Size.takeError();
+    Size.takeError();
+    if (fileExists(quarantinePath(C.Digest)))
       return makeCodedError("EFAULT.STORE.MISSING",
                             "chunk %s is quarantined (corrupt; see "
                             "%s.evidence.txt); run `estore repair`",
-                            D.hex().c_str(), quarantinePath(D).c_str());
+                            C.Digest.hex().c_str(),
+                            quarantinePath(C.Digest).c_str());
     return makeCodedError("EFAULT.STORE.MISSING", "chunk %s is not in the "
                           "pool at '%s'",
-                          D.hex().c_str(), Root.c_str());
+                          C.Digest.hex().c_str(), Root.c_str());
   }
-  auto File = MappedFile::open(Path);
-  if (!File)
-    return File.takeError();
-  Sha256Digest Actual = Sha256::digest(File->span());
-  if (Actual != D)
+  if (*Size != C.Size)
+    return makeCodedError("EFAULT.STORE.MANIFEST",
+                          "chunk %s is %llu bytes but its reference records "
+                          "%llu",
+                          C.Digest.hex().c_str(),
+                          static_cast<unsigned long long>(*Size),
+                          static_cast<unsigned long long>(C.Size));
+  Sha256Digest Actual = Sha256::digest(Out);
+  if (Actual != C.Digest)
     return makeCodedError("EFAULT.STORE.DIGEST",
                           "chunk %s fails verification: %zu bytes hash to "
                           "%s (pool corruption; run `estore scrub`)",
-                          D.hex().c_str(), File->size(),
+                          C.Digest.hex().c_str(), Out.size(),
                           Actual.hex().c_str());
-  ChunkView V;
-  V.Digest = D;
-  V.File = std::move(*File);
-  return V;
+  return Error::success();
+}
+
+Expected<std::vector<uint8_t>>
+ChunkStore::openChunk(const Sha256Digest &D) const {
+  std::vector<uint8_t> Bytes(fileSizeOf(chunkPath(D)));
+  if (Error E = readChunkInto({0, Bytes.size(), D}, Bytes))
+    return E;
+  return Bytes;
 }
 
 Error ChunkStore::quarantineChunk(const Sha256Digest &D,
@@ -214,8 +231,9 @@ Error ChunkStore::putManifest(const Manifest &M) {
   // Refuse to publish a root that dangles: every referenced chunk must
   // already be in the pool, or GC/open would see a reachable-but-absent
   // digest.
+  std::set<Sha256Digest> Checked;
   for (const ChunkRef &C : M.Chunks)
-    if (!hasChunk(C.Digest))
+    if (Checked.insert(C.Digest).second && !hasChunk(C.Digest))
       return makeCodedError("EFAULT.STORE.MISSING",
                             "manifest '%s' references chunk %s which is not "
                             "in the pool (put chunks before the manifest)",
@@ -277,11 +295,17 @@ Error ChunkStore::journalAppend(const std::string &Line) {
   return Log.append(Line);
 }
 
-Error ChunkStore::pin(const std::string &Owner, const Sha256Digest &D) {
+Error ChunkStore::pin(const std::string &Owner,
+                      std::span<const Sha256Digest> Ds) {
   if (!Manifest::validName(Owner))
     return makeCodedError("EFAULT.STORE.MANIFEST",
                           "invalid pin owner '%s'", Owner.c_str());
-  return journalAppend("pin " + Owner + " " + D.hex());
+  if (Ds.empty())
+    return Error::success();
+  std::string Lines;
+  for (const Sha256Digest &D : Ds)
+    Lines += "pin " + Owner + " " + D.hex() + "\n";
+  return journalAppend(Lines);
 }
 
 Error ChunkStore::sealPins(const std::string &Owner) {
@@ -312,7 +336,8 @@ JournalState replayJournal(const std::string &Path) {
     if (Line.empty())
       continue;
     auto F = splitString(Line, ' ');
-    if (F[0] == "pin" && F.size() == 3)
+    // A pin torn mid-digest by a crash names no chunk: drop it.
+    if (F[0] == "pin" && F.size() == 3 && isHexDigestName(F[2]))
       St.Pins[F[1]].insert(F[2]);
     else if (F[0] == "seal" && F.size() == 2)
       St.Pins.erase(F[1]);
@@ -555,12 +580,8 @@ ChunkStore::repair(const std::vector<std::string> &ReplicaRoots) {
       std::string Hex = C.Digest.hex();
       if (Needed.count(Hex))
         continue;
-      if (!hasChunk(C.Digest)) {
-        Needed.insert(Hex);
-        continue;
-      }
-      auto Bytes = readFileBytes(chunkPath(C.Digest));
-      if (!Bytes || Sha256::digest(*Bytes) != C.Digest)
+      std::vector<uint8_t> Bytes(C.Size);
+      if (readChunkInto(C, Bytes))
         Needed.insert(Hex);
     }
   }
@@ -576,9 +597,9 @@ ChunkStore::repair(const std::vector<std::string> &ReplicaRoots) {
         RS.takeError(); // not a store (or unreadable); try the next replica
         continue;
       }
-      auto View = RS->openChunk(*D); // digest-verified: corruption cannot
-      if (!View) {                   // propagate from a bad replica
-        View.takeError();
+      auto Good = RS->openChunk(*D); // digest-verified: corruption cannot
+      if (!Good) {                   // propagate from a bad replica
+        Good.takeError();
         continue;
       }
       // A corrupt in-place copy must move aside first so the verified
@@ -590,7 +611,7 @@ ChunkStore::repair(const std::vector<std::string> &ReplicaRoots) {
         if (Error E = quarantineChunk(*D, Evidence))
           return E;
       }
-      auto Put = put(View->File.span());
+      auto Put = put(*Good);
       if (!Put)
         return Put.takeError();
       if (*Put != *D) // cannot happen (put hashes the verified bytes)

@@ -20,8 +20,9 @@
 ///                                 before unlink (recoverable mid-sweep)
 ///
 /// Integrity invariants:
-///  * every byte handed out is digest-verified first (openChunk re-hashes
-///    on map; mismatch is a typed EFAULT.STORE.DIGEST error, never bytes),
+///  * every byte handed out is digest-verified first (readChunkInto
+///    re-hashes what it read; mismatch is a typed EFAULT.STORE.DIGEST
+///    error, never bytes),
 ///  * chunk publication is atomic (writeFileAtomic: tmp + fsync + rename +
 ///    parent-dir fsync), so concurrent puts of the same digest from any
 ///    number of processes race benignly to an identical file,
@@ -37,23 +38,17 @@
 
 #include "store/Manifest.h"
 #include "support/Error.h"
-#include "support/MappedFile.h"
 #include "support/Sha256.h"
 
 #include <cstdint>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
 namespace elfie {
 namespace store {
-
-/// A digest-verified view of one chunk's bytes. Holds the mapping alive.
-struct ChunkView {
-  Sha256Digest Digest;
-  MappedFile File; ///< verified bytes: File.span()
-};
 
 /// Pool-wide accounting for `estore stats`.
 struct StoreStats {
@@ -124,11 +119,17 @@ public:
   Expected<Sha256Digest> put(std::span<const uint8_t> Bytes,
                              bool *WasNew = nullptr);
 
-  /// Opens the chunk and re-hashes it; bytes are handed out only when they
-  /// match \p D. A mismatch is EFAULT.STORE.DIGEST, an absent chunk
+  /// The one read-and-verify primitive: reads chunk \p C.Digest straight
+  /// into \p Out (C.Size bytes) and re-hashes it there. An absent chunk is
   /// EFAULT.STORE.MISSING (the message notes when the chunk sits in
-  /// quarantine instead of the pool).
-  Expected<ChunkView> openChunk(const Sha256Digest &D) const;
+  /// quarantine instead of the pool), a chunk file of any other size than
+  /// C.Size EFAULT.STORE.MANIFEST, bytes that do not hash to C.Digest
+  /// EFAULT.STORE.DIGEST. On error \p Out holds no verified bytes.
+  Error readChunkInto(const ChunkRef &C, std::span<uint8_t> Out) const;
+
+  /// Reads and verifies the whole chunk \p D (readChunkInto at the chunk
+  /// file's own size), with the same typed errors.
+  Expected<std::vector<uint8_t>> openChunk(const Sha256Digest &D) const;
 
   bool hasChunk(const Sha256Digest &D) const;
   std::string chunkPath(const Sha256Digest &D) const;
@@ -153,10 +154,11 @@ public:
 
   //===--- pins (journaled GC roots for in-flight ingestion) -------------===//
 
-  /// Pins \p D against GC before its manifest exists. \p Owner names the
-  /// in-flight operation (typically the manifest name); sealing the owner
-  /// retires all its pins at once. Durable before return (fsync'd append).
-  Error pin(const std::string &Owner, const Sha256Digest &D);
+  /// Pins every digest of \p Ds against GC before its manifest exists.
+  /// \p Owner names the in-flight operation (typically the manifest name);
+  /// sealing the owner retires all its pins at once. One journal line per
+  /// digest, all in one append: durable before return (one fsync).
+  Error pin(const std::string &Owner, std::span<const Sha256Digest> Ds);
 
   /// Retires every pin held by \p Owner (its manifest is published, or the
   /// ingestion was abandoned).

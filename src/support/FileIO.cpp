@@ -48,6 +48,51 @@ elfie::readFileBytes(const std::string &Path) {
   return Out;
 }
 
+Expected<uint64_t> elfie::readFileInto(const std::string &Path,
+                                       std::span<uint8_t> Out) {
+  if (TheIOFaultHook) {
+    auto Bytes = readFileBytes(Path);
+    if (!Bytes)
+      return Bytes.takeError();
+    if (Bytes->size() == Out.size())
+      std::copy(Bytes->begin(), Bytes->end(), Out.begin());
+    return static_cast<uint64_t>(Bytes->size());
+  }
+  int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (Fd < 0)
+    return makeCodedError("EFAULT.IO.OPEN", "cannot open '%s': %s",
+                          Path.c_str(), std::strerror(errno));
+  struct stat St;
+  if (::fstat(Fd, &St) != 0) {
+    int E = errno;
+    ::close(Fd);
+    return makeCodedError("EFAULT.IO.READ", "cannot stat '%s': %s",
+                          Path.c_str(), std::strerror(E));
+  }
+  uint64_t Size = static_cast<uint64_t>(St.st_size);
+  if (Size == Out.size()) {
+    size_t Done = 0;
+    while (Done < Out.size()) {
+      ssize_t N = ::pread(Fd, Out.data() + Done, Out.size() - Done,
+                          static_cast<off_t>(Done));
+      if (N < 0) {
+        if (errno == EINTR)
+          continue;
+        int E = errno;
+        ::close(Fd);
+        return makeCodedError("EFAULT.IO.READ", "read error on '%s': %s",
+                              Path.c_str(), std::strerror(E));
+      }
+      if (N == 0)
+        break; // the file shrank after fstat
+      Done += static_cast<size_t>(N);
+    }
+    Size = Done;
+  }
+  ::close(Fd);
+  return Size;
+}
+
 Expected<std::string> elfie::readFileText(const std::string &Path) {
   auto Bytes = readFileBytes(Path);
   if (!Bytes)
@@ -276,11 +321,15 @@ Error elfie::makeExecutable(const std::string &Path) {
 
 Error AppendLog::open(const std::string &Path) {
   close();
-  Fd = ::open(Path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+  Fd = ::open(Path.c_str(), O_RDWR | O_CREAT | O_APPEND, 0644);
   if (Fd < 0)
     return makeCodedError("EFAULT.IO.OPEN", "cannot open log '%s': %s",
                           Path.c_str(), std::strerror(errno));
   LogPath = Path;
+  struct stat St;
+  char Last = '\n';
+  TornTail = ::fstat(Fd, &St) == 0 && St.st_size > 0 &&
+             ::pread(Fd, &Last, 1, St.st_size - 1) == 1 && Last != '\n';
   return Error::success();
 }
 
@@ -292,6 +341,8 @@ Error AppendLog::append(const std::string &Line) {
   std::vector<uint8_t> Bytes(Line.begin(), Line.end());
   if (Bytes.empty() || Bytes.back() != '\n')
     Bytes.push_back('\n');
+  if (TornTail)
+    Bytes.insert(Bytes.begin(), '\n');
   if (TheIOFaultHook) {
     if (Error E = TheIOFaultHook->onWrite(LogPath, Bytes))
       return E;
@@ -317,6 +368,7 @@ Error AppendLog::append(const std::string &Line) {
                           "fsync failed on '%s': %s", LogPath.c_str(),
                           std::strerror(errno));
   }
+  TornTail = false;
   return Error::success();
 }
 

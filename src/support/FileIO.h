@@ -57,6 +57,15 @@ Expected<std::vector<uint8_t>> readFileBytes(const std::string &Path);
 /// Reads the entire file at \p Path into a string.
 Expected<std::string> readFileText(const std::string &Path);
 
+/// Reads the file at \p Path straight into \p Out when the file is exactly
+/// Out.size() bytes long, and returns the file's size either way; \p Out
+/// holds the file's bytes only when the two sizes match. No intermediate
+/// buffer: one open, fstat, pread and close. With an IOFaultHook installed
+/// the read goes through readFileBytes() instead, so the hook still sees
+/// (and may corrupt or fail) it.
+Expected<uint64_t> readFileInto(const std::string &Path,
+                                std::span<uint8_t> Out);
+
 /// Writes \p Size bytes from \p Data to \p Path, replacing any existing file.
 Error writeFile(const std::string &Path, const void *Data, size_t Size);
 
@@ -115,10 +124,14 @@ public:
   AppendLog(const AppendLog &) = delete;
   AppendLog &operator=(const AppendLog &) = delete;
 
-  /// Opens (creating if needed) \p Path for appending.
+  /// Opens (creating if needed) \p Path for appending. When the log does
+  /// not end in a newline (a record torn by a crash), the first append
+  /// starts a fresh line, so the torn record never swallows the next one.
   Error open(const std::string &Path);
 
   /// Appends \p Line (a trailing newline is added when missing) and fsyncs.
+  /// \p Line may hold several newline-separated records: they land in one
+  /// write and one fsync.
   Error append(const std::string &Line);
 
   /// Closes the underlying descriptor; append() after close errors.
@@ -129,6 +142,7 @@ public:
 
 private:
   int Fd = -1;
+  bool TornTail = false;
   std::string LogPath;
 };
 

@@ -99,11 +99,13 @@ int main(int Argc, char **Argv) {
                  static_cast<unsigned long long>(R.MemStats.DirtyBytes));
     std::fprintf(stderr,
                  "ereplay: jit: %llu blocks, %llu hits, %llu flushes, "
-                 "%llu bailouts\n",
+                 "%llu bailouts, %llu invalidations, %llu dispatches\n",
                  static_cast<unsigned long long>(R.JitStats.Blocks),
                  static_cast<unsigned long long>(R.JitStats.Hits),
                  static_cast<unsigned long long>(R.JitStats.Flushes),
-                 static_cast<unsigned long long>(R.JitStats.Bailouts));
+                 static_cast<unsigned long long>(R.JitStats.Bailouts),
+                 static_cast<unsigned long long>(R.JitStats.Invalidations),
+                 static_cast<unsigned long long>(R.JitStats.Dispatches));
   }
   if (!R.Divergence.empty()) {
     std::fprintf(stderr, "ereplay: DIVERGENCE: %s\n", R.Divergence.c_str());

@@ -111,11 +111,15 @@ int main(int Argc, char **Argv) {
                 static_cast<unsigned long long>(Result.MemStats.ImageExtents),
                 static_cast<unsigned long long>(Result.MemStats.CowFaults),
                 static_cast<unsigned long long>(Result.MemStats.DirtyBytes));
-    std::printf("jit: %llu blocks, %llu hits, %llu flushes, %llu bailouts\n",
-                static_cast<unsigned long long>(Result.JitStats.Blocks),
-                static_cast<unsigned long long>(Result.JitStats.Hits),
-                static_cast<unsigned long long>(Result.JitStats.Flushes),
-                static_cast<unsigned long long>(Result.JitStats.Bailouts));
+    std::printf(
+        "jit: %llu blocks, %llu hits, %llu flushes, %llu bailouts, "
+        "%llu invalidations, %llu dispatches\n",
+        static_cast<unsigned long long>(Result.JitStats.Blocks),
+        static_cast<unsigned long long>(Result.JitStats.Hits),
+        static_cast<unsigned long long>(Result.JitStats.Flushes),
+        static_cast<unsigned long long>(Result.JitStats.Bailouts),
+        static_cast<unsigned long long>(Result.JitStats.Invalidations),
+        static_cast<unsigned long long>(Result.JitStats.Dispatches));
   }
   return 0;
 }

@@ -69,8 +69,8 @@ static int cmdGet(ChunkStore &Pool, const CommandLine &CL) {
   std::string Out = CL.getString("o");
   if (Out.empty())
     Out = Name;
-  exitOnError(materializeArtifact(Pool, Name, Out));
-  Manifest M = exitOnError(Pool.getManifest(Name));
+  Manifest M;
+  exitOnError(materializeArtifact(Pool, Name, Out, &M));
   std::fprintf(stderr, "estore: get '%s' -> %s (%llu bytes, verified %s)\n",
                Name.c_str(), Out.c_str(),
                static_cast<unsigned long long>(M.Size),

@@ -126,9 +126,10 @@ int main(int Argc, char **Argv) {
       size_t Slash = Out.rfind('/');
       Name = Slash == std::string::npos ? Out : Out.substr(Slash + 1);
     }
-    store::Manifest M = exitOnError(
-        store::putArtifact(Pool, Name, Image, CL.positional()[0]));
-    exitOnError(store::materializeArtifact(Pool, Name, CL.getString("o")));
+    exitOnError(store::putArtifact(Pool, Name, Image, CL.positional()[0]));
+    store::Manifest M; // what the -o bytes were verified against
+    exitOnError(
+        store::materializeArtifact(Pool, Name, CL.getString("o"), &M));
     std::fprintf(
         stderr,
         "pinball2elf: %s -> %s via estore %s (artifact '%s', %zu chunks, "

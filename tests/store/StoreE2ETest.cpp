@@ -9,7 +9,9 @@
 /// pinball2elf emission byte-identical with direct emission, cross-region
 /// dedup measured over two regions of one workload, a kill-mid-GC sweep
 /// (ELFIE_FAULT_SPEC=write:K:kill over `estore gc` — a live chunk is never
-/// lost, garbage never survives the follow-up sweep), the efault
+/// lost, garbage never survives the follow-up sweep), the matching
+/// kill-mid-ingest sweep over `estore put` (a landed chunk is always
+/// pinned; re-running the put converges), the efault
 /// chunk-corruption campaign (every consumer fails closed with a typed
 /// EFAULT.STORE.* code — zero crashes, hangs, or uncoded rejections), and
 /// the everify STORE.* pass.
@@ -277,6 +279,143 @@ TEST_F(StoreE2E, KillMidGcNeverLosesLiveNeverLeaksDead) {
     removeTree(Copy);
   }
   EXPECT_TRUE(SawKill) << "no kill point landed — sweep tested nothing";
+}
+
+/// SIGKILL `estore put` at every early write and at the last ones (the
+/// pin batch is write 1, then each new chunk, the manifest, the seal).
+/// Invariants after every kill point: reopening recovers; every manifest
+/// sealed before the kill loads byte-identical; every chunk the
+/// interrupted ingest left behind is pinned, and gc keeps it while the pin
+/// is active; re-running the put succeeds and seals. A clean ingest
+/// appends exactly one pin line per distinct digest, in one batch.
+TEST_F(StoreE2E, KillMidIngestKeepsPinnedChunksAndConverges) {
+  auto R = runCmd("", formatString("%s -o %s/in.elfie %s/ra.pb",
+                                   binPath("pinball2elf").c_str(),
+                                   Dir.c_str(), Root.c_str()));
+  ASSERT_EQ(R.ExitCode, 0) << R.Output;
+  auto In = readFileBytes(Dir + "/in.elfie");
+  auto Keep = readFileBytes(Root + "/p.elf");
+  ASSERT_TRUE(In.hasValue());
+  ASSERT_TRUE(Keep.hasValue());
+
+  std::string PoolDir = Dir + "/pool";
+  std::set<std::string> KeepHex;
+  {
+    auto S = ChunkStore::open(PoolDir);
+    ASSERT_TRUE(S.hasValue()) << S.message();
+    auto M = putArtifact(*S, "keep", *Keep);
+    ASSERT_TRUE(M.hasValue()) << M.message();
+    for (const ChunkRef &C : M->Chunks)
+      KeepHex.insert(C.Digest.hex());
+  }
+  auto putIn = [&](const std::string &Pool, const std::string &Env) {
+    return runCmd(Env, formatString("%s put %s %s/in.elfie -name in",
+                                    binPath("estore").c_str(), Pool.c_str(),
+                                    Dir.c_str()));
+  };
+  auto chunkSet = [](const ChunkStore &S) {
+    std::set<std::string> Out;
+    auto Chunks = S.listChunks();
+    EXPECT_TRUE(Chunks.hasValue());
+    if (Chunks)
+      for (const Sha256Digest &D : *Chunks)
+        Out.insert(D.hex());
+    return Out;
+  };
+
+  // Clean reference ingest: the journal gains one pin line per distinct
+  // digest and the seal, nothing else.
+  std::set<std::string> InHex;
+  size_t NewChunks = 0;
+  {
+    std::string Clean = Dir + "/pool.clean";
+    ASSERT_EQ(runCmd("", formatString("cp -r %s %s", PoolDir.c_str(),
+                                      Clean.c_str()))
+                  .ExitCode,
+              0);
+    auto Before = readFileText(Clean + "/gc.journal");
+    ASSERT_TRUE(Before.hasValue());
+    R = putIn(Clean, "");
+    ASSERT_EQ(R.ExitCode, 0) << R.Output;
+    auto S = ChunkStore::open(Clean, /*Create=*/false);
+    ASSERT_TRUE(S.hasValue());
+    auto M = S->getManifest("in");
+    ASSERT_TRUE(M.hasValue()) << M.message();
+    std::string Expected;
+    for (const ChunkRef &C : M->Chunks)
+      if (InHex.insert(C.Digest.hex()).second)
+        Expected += "pin in " + C.Digest.hex() + "\n";
+    ASSERT_LT(InHex.size(), M->Chunks.size()); // the input has repeats
+    auto After = readFileText(Clean + "/gc.journal");
+    ASSERT_TRUE(After.hasValue());
+    EXPECT_EQ(After->substr(Before->size()), Expected + "seal in\n");
+    for (const std::string &Hex : InHex)
+      NewChunks += !KeepHex.count(Hex);
+    ASSERT_GT(NewChunks, 0u);
+  }
+
+  // Writes of one ingest: pin batch, new chunks, manifest, seal.
+  int Writes = static_cast<int>(NewChunks) + 3;
+  std::set<int> KillPoints;
+  for (int K = 1; K <= 12; ++K)
+    KillPoints.insert(K);
+  for (int K = Writes - 2; K <= Writes + 1; ++K)
+    KillPoints.insert(K);
+  for (int KillAt : KillPoints) {
+    std::string Copy = Dir + formatString("/pool.k%d", KillAt);
+    R = runCmd("", formatString("cp -r %s %s", PoolDir.c_str(),
+                                Copy.c_str()));
+    ASSERT_EQ(R.ExitCode, 0) << R.Output;
+    R = putIn(Copy, formatString("ELFIE_FAULT_SPEC=write:%d:kill", KillAt));
+    ASSERT_EQ(R.ExitCode, KillAt <= Writes ? 97 : 0)
+        << "kill point " << KillAt << ": " << R.Output;
+
+    auto S = ChunkStore::open(Copy, /*Create=*/false);
+    ASSERT_TRUE(S.hasValue()) << "kill " << KillAt << ": " << S.message();
+    auto L = loadArtifact(*S, "keep");
+    ASSERT_TRUE(L.hasValue()) << "kill " << KillAt << ": " << L.message();
+    EXPECT_EQ(*L, *Keep) << "kill " << KillAt;
+    bool Published = S->getManifest("in").hasValue();
+    EXPECT_EQ(Published, KillAt >= Writes) << "kill " << KillAt;
+    if (Published) {
+      auto LI = loadArtifact(*S, "in");
+      ASSERT_TRUE(LI.hasValue()) << "kill " << KillAt << ": "
+                                 << LI.message();
+      EXPECT_EQ(*LI, *In) << "kill " << KillAt;
+    }
+
+    // Pin before put: every chunk the ingest landed is pinned (or, once
+    // the put completed, referenced by its manifest), and gc keeps all of
+    // them.
+    auto Pins = S->activePins();
+    ASSERT_TRUE(Pins.hasValue());
+    std::set<std::string> Rooted = (*Pins)["in"];
+    if (KillAt > Writes)
+      Rooted = InHex;
+    std::set<std::string> Landed;
+    for (const std::string &Hex : chunkSet(*S))
+      if (InHex.count(Hex) && !KeepHex.count(Hex))
+        Landed.insert(Hex);
+    for (const std::string &Hex : Landed)
+      EXPECT_TRUE(Rooted.count(Hex)) << "kill " << KillAt << ": " << Hex;
+    auto G = S->gc();
+    ASSERT_TRUE(G.hasValue()) << "kill " << KillAt << ": " << G.message();
+    std::set<std::string> AfterGc = chunkSet(*S);
+    for (const std::string &Hex : Landed)
+      EXPECT_TRUE(AfterGc.count(Hex)) << "kill " << KillAt << ": " << Hex;
+
+    // Re-running the ingest converges: sealed, loadable, pins retired.
+    R = putIn(Copy, "");
+    ASSERT_EQ(R.ExitCode, 0) << "kill " << KillAt << ": " << R.Output;
+    auto LI = loadArtifact(*S, "in");
+    ASSERT_TRUE(LI.hasValue()) << "kill " << KillAt << ": " << LI.message();
+    EXPECT_EQ(*LI, *In) << "kill " << KillAt;
+    Pins = S->activePins();
+    ASSERT_TRUE(Pins.hasValue());
+    EXPECT_TRUE(Pins->empty()) << "kill " << KillAt;
+
+    removeTree(Copy);
+  }
 }
 
 /// The seeded chunk-corruption campaign: every mutation of the pool must be

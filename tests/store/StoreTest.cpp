@@ -8,14 +8,18 @@
 /// The in-process store suite: SHA-256 known-answer vectors (FIPS 180-4),
 /// manifest grammar and seal, chunk pool put/dedup/verify semantics, pins
 /// and mark-and-sweep GC, scrub/quarantine/repair, ELF-aware chunk
-/// boundaries, and the multi-process concurrent-put race. The crash (kill
-/// mid-GC) and tool-level sweeps live in StoreE2ETest.cpp.
+/// boundaries, the multi-process concurrent-put race, and the verified
+/// read primitive (corrupt, wrong-size, missing and fault-injected chunk
+/// reads; heavily duplicated artifacts). The crash (kill mid-GC, kill
+/// mid-ingest) and tool-level sweeps live in StoreE2ETest.cpp.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "fault/FaultPlan.h"
 #include "store/Artifact.h"
 #include "store/ChunkStore.h"
 #include "support/FileIO.h"
+#include "support/Format.h"
 #include "support/RNG.h"
 #include "support/Sha256.h"
 
@@ -25,6 +29,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -237,8 +243,8 @@ TEST(ChunkStore, PutDedupAndVerify) {
   // Verified open returns the bytes.
   auto V = S->openChunk(*D);
   ASSERT_TRUE(V.hasValue()) << V.message();
-  ASSERT_EQ(V->File.size(), Bytes.size());
-  EXPECT_EQ(0, std::memcmp(V->File.data(), Bytes.data(), Bytes.size()));
+  ASSERT_EQ(V->size(), Bytes.size());
+  EXPECT_EQ(0, std::memcmp(V->data(), Bytes.data(), Bytes.size()));
 
   removeTree(Dir);
 }
@@ -311,7 +317,7 @@ TEST(ChunkStore, GcSweepsGarbageKeepsReferencedAndPinned) {
   auto Pinned = randomBytes(11, 4096);
   auto PD = S->put(Pinned);
   ASSERT_TRUE(PD.hasValue());
-  ASSERT_FALSE(S->pin("inflight", *PD).isError());
+  ASSERT_FALSE(S->pin("inflight", {&*PD, 1}).isError());
 
   auto Orphan = randomBytes(12, 4096);
   auto OD = S->put(Orphan);
@@ -341,6 +347,41 @@ TEST(ChunkStore, GcSweepsGarbageKeepsReferencedAndPinned) {
   auto St = S->stats();
   ASSERT_TRUE(St.hasValue());
   EXPECT_EQ(St->Chunks, 0u);
+
+  removeTree(Dir);
+}
+
+/// A pin batch torn by a crash (no trailing newline, digest cut short)
+/// pins nothing, and the next append still lands as its own records.
+TEST(ChunkStore, TornPinBatchTailIsHarmless) {
+  std::string Dir = tempDir("torn");
+  auto S = ChunkStore::open(Dir + "/pool");
+  ASSERT_TRUE(S.hasValue());
+  std::vector<Sha256Digest> Ds;
+  for (int I = 0; I < 4; ++I)
+    Ds.push_back(Sha256::digest(randomBytes(40 + I, 64)));
+
+  ASSERT_FALSE(S->pin("a", std::span(Ds).first(2)).isError());
+  {
+    std::string Torn = "pin b " + Ds[2].hex() + "\npin b " +
+                       Ds[3].hex().substr(0, 20);
+    FILE *F = std::fopen((Dir + "/pool/gc.journal").c_str(), "ab");
+    ASSERT_NE(F, nullptr);
+    std::fwrite(Torn.data(), 1, Torn.size(), F);
+    std::fclose(F);
+  }
+  auto Pins = S->activePins();
+  ASSERT_TRUE(Pins.hasValue());
+  EXPECT_EQ((*Pins)["a"].size(), 2u);
+  EXPECT_EQ((*Pins)["b"], std::set<std::string>{Ds[2].hex()});
+
+  ASSERT_FALSE(S->sealPins("b").isError());
+  ASSERT_FALSE(S->pin("c", {&Ds[3], 1}).isError());
+  Pins = S->activePins();
+  ASSERT_TRUE(Pins.hasValue());
+  EXPECT_EQ(Pins->count("b"), 0u); // the seal was not swallowed
+  EXPECT_EQ((*Pins)["a"].size(), 2u);
+  EXPECT_EQ((*Pins)["c"], std::set<std::string>{Ds[3].hex()});
 
   removeTree(Dir);
 }
@@ -556,6 +597,24 @@ TEST(Artifact, PutLoadRoundTripAndEmpty) {
   removeTree(Dir);
 }
 
+TEST(Artifact, IngestPinsEachDistinctDigestOnce) {
+  std::string Dir = tempDir("pinonce");
+  auto S = ChunkStore::open(Dir + "/pool");
+  ASSERT_TRUE(S.hasValue());
+  std::vector<uint8_t> A(40 * 4096, 0);
+  auto R = randomBytes(50, 4096);
+  std::copy(R.begin(), R.end(), A.begin() + 9 * 4096);
+  auto M = putArtifact(*S, "a", A);
+  ASSERT_TRUE(M.hasValue()) << M.message();
+
+  auto Journal = readFileText(Dir + "/pool/gc.journal");
+  ASSERT_TRUE(Journal.hasValue());
+  EXPECT_EQ(*Journal, "pin a " + M->Chunks[0].Digest.hex() + "\n" +
+                          "pin a " + M->Chunks[9].Digest.hex() + "\n" +
+                          "seal a\n");
+  removeTree(Dir);
+}
+
 TEST(Artifact, MaterializeIsByteIdentical) {
   std::string Dir = tempDir("materialize");
   auto S = ChunkStore::open(Dir + "/pool");
@@ -592,6 +651,234 @@ TEST(Artifact, CrossArtifactDedupSharesIdenticalPages) {
   // not 32.
   EXPECT_EQ(St->ChunkBytes, (12 + 4 + 4) * 4096u);
   EXPECT_GT(St->ArtifactBytes, St->ChunkBytes);
+
+  removeTree(Dir);
+}
+
+//===----------------------------------------------------------------------===//
+// The verified read primitive (readChunkInto) under loadArtifact
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// \p Pages pages of 4 KiB where page I is pattern Order[I % Order.size()]
+/// of \p Patterns random pages: most chunk references repeat a digest.
+std::vector<uint8_t> repeatingPages(size_t Pages, size_t Patterns,
+                                    const std::vector<size_t> &Order) {
+  std::vector<uint8_t> Out;
+  for (size_t I = 0; I < Pages; ++I) {
+    auto Page = randomBytes(900 + Order[I % Order.size()] % Patterns, 4096);
+    Out.insert(Out.end(), Page.begin(), Page.end());
+  }
+  return Out;
+}
+
+size_t distinctDigests(const Manifest &M) {
+  std::set<Sha256Digest> Seen;
+  for (const ChunkRef &C : M.Chunks)
+    Seen.insert(C.Digest);
+  return Seen.size();
+}
+
+/// The reference of \p M whose digest occurs most often.
+ChunkRef mostRepeated(const Manifest &M) {
+  std::map<Sha256Digest, size_t> Count;
+  for (const ChunkRef &C : M.Chunks)
+    ++Count[C.Digest];
+  ChunkRef Best = M.Chunks[0];
+  for (const ChunkRef &C : M.Chunks)
+    if (Count[C.Digest] > Count[Best.Digest])
+      Best = C;
+  return Best;
+}
+
+void rewriteChunk(const ChunkStore &S, const Sha256Digest &D,
+                  const std::vector<uint8_t> &Bytes) {
+  ASSERT_FALSE(
+      writeFile(S.chunkPath(D), Bytes.data(), Bytes.size()).isError());
+}
+
+} // namespace
+
+TEST(ReadChunkInto, CorruptRepeatedChunkFailsClosedWithNoBytes) {
+  std::string Dir = tempDir("readrepeat");
+  auto S = ChunkStore::open(Dir + "/pool");
+  ASSERT_TRUE(S.hasValue());
+  // Pattern 0 sits at pages 0, 2, 4, ... of 12.
+  auto A = repeatingPages(12, 4, {0, 1, 0, 2, 0, 3});
+  auto M = putArtifact(*S, "a", A);
+  ASSERT_TRUE(M.hasValue()) << M.message();
+  ChunkRef Bad = mostRepeated(*M);
+  size_t Refs = std::count_if(
+      M->Chunks.begin(), M->Chunks.end(),
+      [&](const ChunkRef &C) { return C.Digest == Bad.Digest; });
+  ASSERT_GE(Refs, 3u);
+
+  auto OnDisk = readFileBytes(S->chunkPath(Bad.Digest));
+  ASSERT_TRUE(OnDisk.hasValue());
+  (*OnDisk)[4000] ^= 0x04;
+  rewriteChunk(*S, Bad.Digest, *OnDisk);
+
+  std::vector<uint8_t> Buf(Bad.Size);
+  Error E = S->readChunkInto(Bad, Buf);
+  EXPECT_EQ(E.code(), "EFAULT.STORE.DIGEST") << E.str();
+
+  auto L = loadArtifact(*S, "a");
+  ASSERT_FALSE(L.hasValue());
+  EXPECT_EQ(L.error().code(), "EFAULT.STORE.DIGEST") << L.message();
+  E = materializeArtifact(*S, "a", Dir + "/out");
+  EXPECT_EQ(E.code(), "EFAULT.STORE.DIGEST") << E.str();
+  EXPECT_FALSE(fileExists(Dir + "/out")); // no bytes handed out
+
+  removeTree(Dir);
+}
+
+TEST(ReadChunkInto, ChunkFileOfWrongSizeIsManifestError) {
+  std::string Dir = tempDir("readsize");
+  auto S = ChunkStore::open(Dir + "/pool");
+  ASSERT_TRUE(S.hasValue());
+  auto A = randomBytes(910, 3 * 4096);
+  auto M = putArtifact(*S, "a", A);
+  ASSERT_TRUE(M.hasValue());
+  const ChunkRef C = M->Chunks[1];
+  std::vector<uint8_t> Good(A.begin() + C.Offset,
+                            A.begin() + C.Offset + C.Size);
+
+  for (int Delta : {+1, -1}) {
+    std::vector<uint8_t> Wrong = Good;
+    if (Delta > 0)
+      Wrong.push_back(0);
+    else
+      Wrong.pop_back();
+    rewriteChunk(*S, C.Digest, Wrong);
+
+    std::vector<uint8_t> Buf(C.Size);
+    Error E = S->readChunkInto(C, Buf);
+    EXPECT_EQ(E.code(), "EFAULT.STORE.MANIFEST") << Delta << ": " << E.str();
+    auto L = loadArtifact(*S, "a");
+    ASSERT_FALSE(L.hasValue()) << Delta;
+    EXPECT_EQ(L.error().code(), "EFAULT.STORE.MANIFEST")
+        << Delta << ": " << L.message();
+  }
+
+  // The right size again verifies and loads.
+  rewriteChunk(*S, C.Digest, Good);
+  std::vector<uint8_t> Buf(C.Size);
+  EXPECT_FALSE(S->readChunkInto(C, Buf).isError());
+  EXPECT_EQ(Buf, Good);
+
+  removeTree(Dir);
+}
+
+TEST(ReadChunkInto, MissingAndQuarantinedChunksAreMissing) {
+  std::string Dir = tempDir("readmissing");
+  auto S = ChunkStore::open(Dir + "/pool");
+  ASSERT_TRUE(S.hasValue());
+  auto A = randomBytes(920, 2 * 4096);
+  auto M = putArtifact(*S, "a", A);
+  ASSERT_TRUE(M.hasValue());
+  const ChunkRef C0 = M->Chunks[0];
+  const ChunkRef C1 = M->Chunks[1];
+  std::vector<uint8_t> Buf(4096);
+
+  ASSERT_FALSE(S->quarantineChunk(C1.Digest, "test verdict\n").isError());
+  Error E = S->readChunkInto(C1, Buf);
+  EXPECT_EQ(E.code(), "EFAULT.STORE.MISSING") << E.str();
+  EXPECT_NE(E.message().find("is quarantined"), std::string::npos)
+      << E.str();
+  EXPECT_NE(E.message().find("estore repair"), std::string::npos) << E.str();
+  auto L = loadArtifact(*S, "a");
+  ASSERT_FALSE(L.hasValue());
+  EXPECT_NE(L.message().find("is quarantined"), std::string::npos)
+      << L.message();
+
+  removeFile(S->chunkPath(C0.Digest));
+  E = S->readChunkInto(C0, Buf);
+  EXPECT_EQ(E.code(), "EFAULT.STORE.MISSING") << E.str();
+  EXPECT_NE(E.message().find("is not in the pool"), std::string::npos)
+      << E.str();
+  L = loadArtifact(*S, "a"); // C0 comes first in offset order
+  ASSERT_FALSE(L.hasValue());
+  EXPECT_EQ(L.error().code(), "EFAULT.STORE.MISSING");
+  EXPECT_NE(L.message().find("is not in the pool"), std::string::npos)
+      << L.message();
+
+  removeTree(Dir);
+}
+
+/// ELFIE_FAULT_SPEC read faults reach the chunk reads: with a hook
+/// installed every distinct chunk is one hooked read, and a flip, short
+/// read or EIO at any of them is a typed rejection, never bytes.
+TEST(ReadChunkInto, InjectedReadFaultsAreRejectedTyped) {
+  std::string Dir = tempDir("readfault");
+  auto S = ChunkStore::open(Dir + "/pool");
+  ASSERT_TRUE(S.hasValue());
+  auto A = repeatingPages(10, 3, {0, 1, 2, 1});
+  auto M = putArtifact(*S, "a", A);
+  ASSERT_TRUE(M.hasValue());
+  size_t Distinct = distinctDigests(*M);
+  ASSERT_LT(Distinct, M->Chunks.size());
+
+  // Clean hooked run: one manifest read plus one read per distinct chunk.
+  fault::FaultPlan Clean;
+  setIOFaultHook(&Clean);
+  auto L = loadArtifact(*S, "a");
+  setIOFaultHook(nullptr);
+  ASSERT_TRUE(L.hasValue()) << L.message();
+  EXPECT_EQ(*L, A);
+  ASSERT_EQ(Clean.readsSeen(), 1 + Distinct);
+
+  struct Case {
+    const char *Kind;
+    const char *Code;
+  };
+  for (Case K : {Case{"flip", "EFAULT.STORE.DIGEST"},
+                 Case{"short", "EFAULT.STORE.MANIFEST"},
+                 Case{"eio", "EFAULT.IO.READ"}}) {
+    for (size_t Nth = 2; Nth <= 1 + Distinct; ++Nth) {
+      std::string Spec = formatString("read:%zu:%s,seed=%zu", Nth, K.Kind,
+                                      Nth);
+      fault::FaultPlan Plan;
+      ASSERT_FALSE(Plan.parse(Spec).isError());
+      setIOFaultHook(&Plan);
+      auto Bad = loadArtifact(*S, "a");
+      setIOFaultHook(nullptr);
+      ASSERT_FALSE(Bad.hasValue()) << Spec;
+      EXPECT_EQ(Bad.error().code(), K.Code) << Spec << ": " << Bad.message();
+      EXPECT_EQ(Plan.readsSeen(), Nth) << Spec; // the read that faulted
+    }
+  }
+
+  removeTree(Dir);
+}
+
+TEST(ReadChunkInto, HeavyDuplicationLoadsByteIdentical) {
+  std::string Dir = tempDir("readdup");
+  auto S = ChunkStore::open(Dir + "/pool");
+  ASSERT_TRUE(S.hasValue());
+
+  // 200 zero pages with a few distinct pages between them and a short
+  // zero tail: three distinct zero-ish chunks serve ~200 references.
+  std::vector<uint8_t> A(200 * 4096 + 100, 0);
+  for (size_t Page : {7u, 50u, 51u, 199u}) {
+    auto R = randomBytes(930 + Page, 4096);
+    std::copy(R.begin(), R.end(), A.begin() + Page * 4096);
+  }
+  auto M = putArtifact(*S, "zeros", A);
+  ASSERT_TRUE(M.hasValue()) << M.message();
+  EXPECT_EQ(M->Chunks.size(), 201u);
+  EXPECT_EQ(distinctDigests(*M), 6u); // zero page, 4 random, zero tail
+
+  auto L = loadArtifact(*S, "zeros");
+  ASSERT_TRUE(L.hasValue()) << L.message();
+  EXPECT_EQ(*L, A);
+  Manifest Back;
+  ASSERT_FALSE(
+      materializeArtifact(*S, "zeros", Dir + "/out", &Back).isError());
+  EXPECT_EQ(Back.render(), M->render());
+  auto Out = readFileBytes(Dir + "/out");
+  ASSERT_TRUE(Out.hasValue());
+  EXPECT_EQ(*Out, A);
 
   removeTree(Dir);
 }

@@ -21,6 +21,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <vector>
 
 using namespace elfie;
 
@@ -69,6 +70,24 @@ protected:
   void TearDown() override { removeTree(Dir); }
   std::string Dir;
 };
+
+/// The six JitStats counters from a tool's -vm:stats "jit:" line (blocks,
+/// hits, flushes, bailouts, invalidations, dispatches), or {} when the line
+/// is absent or incomplete.
+static std::vector<unsigned long long>
+jitStatsLine(const std::string &Output, const std::string &Prefix) {
+  size_t At = Output.find(Prefix + "jit: ");
+  if (At == std::string::npos)
+    return {};
+  std::vector<unsigned long long> V(6);
+  int N = std::sscanf(Output.c_str() + At + Prefix.size(),
+                      "jit: %llu blocks, %llu hits, %llu flushes, %llu "
+                      "bailouts, %llu invalidations, %llu dispatches",
+                      &V[0], &V[1], &V[2], &V[3], &V[4], &V[5]);
+  if (N != 6)
+    return {};
+  return V;
+}
 
 TEST_F(ToolPipeline, FullFigure1Flow) {
   // easm: assemble a program.
@@ -493,3 +512,45 @@ loop:
 }
 
 } // namespace
+
+/// ereplay and esim -vm:stats print every JitStats counter, including
+/// invalidations and dispatches; a JIT replay reports real dispatches.
+TEST_F(ToolPipeline, VmStatsPrintsEveryJitCounter) {
+  std::string Src = R"(
+_start:
+  ldi r9, 0
+loop:
+  muli r2, r2, 13
+  addi r2, r2, 7
+  ldi r7, 10
+  syscall
+  addi r9, r9, 1
+  slti r3, r9, 50000
+  bnez r3, loop
+  ldi r7, 1
+  ldi r1, 0
+  syscall
+)";
+  ASSERT_FALSE(writeFileText(Dir + "/p.s", Src).isError());
+  auto R = runTool(formatString("easm -o %s/p.elf %s/p.s", Dir.c_str(),
+                                Dir.c_str()));
+  ASSERT_EQ(R.ExitCode, 0) << R.Output;
+  R = runTool(formatString("elogger -region:start 20000 -region:length "
+                           "100000 -o %s/r.pb %s/p.elf",
+                           Dir.c_str(), Dir.c_str()));
+  ASSERT_EQ(R.ExitCode, 0) << R.Output;
+
+  R = runTool(formatString("ereplay -jit -vm:stats 1 %s/r.pb", Dir.c_str()));
+  ASSERT_EQ(R.ExitCode, 0) << R.Output;
+  auto Replay = jitStatsLine(R.Output, "ereplay: ");
+  ASSERT_EQ(Replay.size(), 6u) << R.Output;
+#if defined(__x86_64__)
+  EXPECT_GT(Replay[0], 0u) << R.Output; // blocks
+  EXPECT_GT(Replay[5], 0u) << R.Output; // dispatches
+#endif
+
+  R = runTool(formatString("esim -jit -maxinsns 100000 -vm:stats 1 %s/p.elf",
+                           Dir.c_str()));
+  ASSERT_EQ(R.ExitCode, 0) << R.Output;
+  EXPECT_EQ(jitStatsLine(R.Output, "").size(), 6u) << R.Output;
+}
