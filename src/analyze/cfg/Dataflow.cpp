@@ -7,81 +7,13 @@
 
 #include "analyze/cfg/Dataflow.h"
 
+#include "isa/Semantics.h"
+
 using namespace elfie;
 using namespace elfie::analyze;
 using namespace elfie::analyze::cfg;
 using isa::Opcode;
-
-static uint64_t sext(int32_t Imm) {
-  return static_cast<uint64_t>(static_cast<int64_t>(Imm));
-}
-
-/// rd = A op B with the EVM's exact semantics (VM.cpp execDecoded).
-static uint64_t aluOp(Opcode Op, uint64_t A, uint64_t B) {
-  switch (Op) {
-  case Opcode::Add:
-  case Opcode::Addi:
-    return A + B;
-  case Opcode::Sub:
-    return A - B;
-  case Opcode::Mul:
-  case Opcode::Muli:
-    return A * B;
-  case Opcode::Mulh: {
-    __int128 P = static_cast<__int128>(static_cast<int64_t>(A)) *
-                 static_cast<int64_t>(B);
-    return static_cast<uint64_t>(P >> 64);
-  }
-  case Opcode::Div: {
-    int64_t SA = static_cast<int64_t>(A), SB = static_cast<int64_t>(B);
-    if (SB == 0)
-      return UINT64_MAX;
-    if (SA == INT64_MIN && SB == -1)
-      return static_cast<uint64_t>(INT64_MIN);
-    return static_cast<uint64_t>(SA / SB);
-  }
-  case Opcode::Divu:
-    return B == 0 ? UINT64_MAX : A / B;
-  case Opcode::Rem: {
-    int64_t SA = static_cast<int64_t>(A), SB = static_cast<int64_t>(B);
-    if (SB == 0)
-      return static_cast<uint64_t>(SA);
-    if (SA == INT64_MIN && SB == -1)
-      return 0;
-    return static_cast<uint64_t>(SA % SB);
-  }
-  case Opcode::Remu:
-    return B == 0 ? A : A % B;
-  case Opcode::And:
-  case Opcode::Andi:
-    return A & B;
-  case Opcode::Or:
-  case Opcode::Ori:
-    return A | B;
-  case Opcode::Xor:
-  case Opcode::Xori:
-    return A ^ B;
-  case Opcode::Shl:
-  case Opcode::Shli:
-    return A << (B & 63);
-  case Opcode::Shr:
-  case Opcode::Shri:
-    return A >> (B & 63);
-  case Opcode::Sar:
-  case Opcode::Sari:
-    return static_cast<uint64_t>(static_cast<int64_t>(A) >> (B & 63));
-  case Opcode::Slt:
-  case Opcode::Slti:
-    return static_cast<int64_t>(A) < static_cast<int64_t>(B);
-  case Opcode::Sltu:
-  case Opcode::Sltui:
-    return A < B;
-  case Opcode::Seq:
-    return A == B;
-  default:
-    return 0;
-  }
-}
+namespace sem = isa::sem;
 
 void cfg::applyInst(const isa::Inst &I, uint64_t PC, RegState &S) {
   switch (I.Op) {
@@ -142,7 +74,7 @@ void cfg::applyInst(const isa::Inst &I, uint64_t PC, RegState &S) {
   case Opcode::Sltu:
   case Opcode::Seq:
     if (S.known(I.Rs1) && S.known(I.Rs2))
-      S.set(I.Rd, aluOp(I.Op, S.get(I.Rs1), S.get(I.Rs2)));
+      S.set(I.Rd, sem::evalInt(I.Op, S.get(I.Rs1), S.get(I.Rs2)));
     else
       S.kill(I.Rd);
     return;
@@ -159,32 +91,22 @@ void cfg::applyInst(const isa::Inst &I, uint64_t PC, RegState &S) {
   case Opcode::Andi:
   case Opcode::Ori:
   case Opcode::Xori:
-  case Opcode::Slti:
-  case Opcode::Sltui:
-    if (S.known(I.Rs1))
-      S.set(I.Rd, aluOp(I.Op, S.get(I.Rs1), sext(I.Imm)));
-    else
-      S.kill(I.Rd);
-    return;
   case Opcode::Shli:
   case Opcode::Shri:
   case Opcode::Sari:
-    // The VM masks the raw immediate, not its sign extension; identical
-    // modulo 64 either way.
+  case Opcode::Slti:
+  case Opcode::Sltui:
     if (S.known(I.Rs1))
-      S.set(I.Rd, aluOp(I.Op, S.get(I.Rs1),
-                        static_cast<uint64_t>(static_cast<uint32_t>(I.Imm))));
+      S.set(I.Rd, sem::evalInt(I.Op, S.get(I.Rs1), sem::sext(I.Imm)));
     else
       S.kill(I.Rd);
     return;
   case Opcode::Ldi:
-    S.set(I.Rd, sext(I.Imm));
+    S.set(I.Rd, sem::sext(I.Imm));
     return;
   case Opcode::Ldih:
     if (S.known(I.Rd))
-      S.set(I.Rd,
-            (static_cast<uint64_t>(static_cast<uint32_t>(I.Imm)) << 32) |
-                (S.get(I.Rd) & 0xffffffffull));
+      S.set(I.Rd, sem::ldih(S.get(I.Rd), I.Imm));
     else
       S.kill(I.Rd);
     return;
@@ -218,47 +140,14 @@ void cfg::applyInst(const isa::Inst &I, uint64_t PC, RegState &S) {
 }
 
 bool cfg::memRef(const isa::Inst &I, MemRef &Out) {
-  switch (I.Op) {
-  case Opcode::Ld1:
-  case Opcode::Ld1s:
-    Out = {true, false, I.Rs1, static_cast<int64_t>(I.Imm), 1};
-    return true;
-  case Opcode::Ld2:
-  case Opcode::Ld2s:
-    Out = {true, false, I.Rs1, static_cast<int64_t>(I.Imm), 2};
-    return true;
-  case Opcode::Ld4:
-  case Opcode::Ld4s:
-    Out = {true, false, I.Rs1, static_cast<int64_t>(I.Imm), 4};
-    return true;
-  case Opcode::Ld8:
-    Out = {true, false, I.Rs1, static_cast<int64_t>(I.Imm), 8};
-    return true;
-  case Opcode::St1:
-    Out = {false, true, I.Rs1, static_cast<int64_t>(I.Imm), 1};
-    return true;
-  case Opcode::St2:
-    Out = {false, true, I.Rs1, static_cast<int64_t>(I.Imm), 2};
-    return true;
-  case Opcode::St4:
-    Out = {false, true, I.Rs1, static_cast<int64_t>(I.Imm), 4};
-    return true;
-  case Opcode::St8:
-    Out = {false, true, I.Rs1, static_cast<int64_t>(I.Imm), 8};
-    return true;
-  case Opcode::Fld:
-    Out = {true, false, I.Rs1, static_cast<int64_t>(I.Imm), 8};
-    return true;
-  case Opcode::Fst:
-    Out = {false, true, I.Rs1, static_cast<int64_t>(I.Imm), 8};
-    return true;
-  // Atomics address mem[rs1] directly (no displacement), read + write.
-  case Opcode::AmoAdd:
-  case Opcode::AmoSwap:
-  case Opcode::Cas:
-    Out = {true, true, I.Rs1, 0, 8};
-    return true;
-  default:
+  unsigned Size = sem::accessSize(I.Op);
+  if (Size == 0)
     return false;
-  }
+  // Atomics address mem[rs1] directly (no displacement), read + write.
+  if (isa::isAtomic(I.Op))
+    Out = {true, true, I.Rs1, 0, Size};
+  else
+    Out = {isa::isLoad(I.Op), isa::isStore(I.Op), I.Rs1,
+           static_cast<int64_t>(I.Imm), Size};
+  return true;
 }

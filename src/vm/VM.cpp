@@ -9,6 +9,7 @@
 
 #include "elf/ELFReader.h"
 #include "isa/BlockDecode.h"
+#include "isa/Semantics.h"
 #include "support/Format.h"
 
 #include <algorithm>
@@ -25,6 +26,7 @@ using namespace elfie;
 using namespace elfie::vm;
 using isa::Inst;
 using isa::Opcode;
+namespace sem = isa::sem;
 
 Observer::~Observer() = default;
 
@@ -539,18 +541,7 @@ uint64_t VM::jitLoad(void *Cookie, uint64_t Addr, uint64_t Kind) {
     J.Ctx.MemOk = 0;
     return 0;
   }
-  switch (Kind) {
-  case x86::JitLoadS8:
-    return static_cast<uint64_t>(static_cast<int64_t>(static_cast<int8_t>(Raw)));
-  case x86::JitLoadS16:
-    return static_cast<uint64_t>(
-        static_cast<int64_t>(static_cast<int16_t>(Raw)));
-  case x86::JitLoadS32:
-    return static_cast<uint64_t>(
-        static_cast<int64_t>(static_cast<int32_t>(Raw)));
-  default:
-    return Raw;
-  }
+  return sem::extendLoad(Raw, Size, Kind >= x86::JitLoadS8);
 }
 
 void VM::jitStore(void *Cookie, uint64_t Addr, uint64_t Value, uint64_t Size) {
@@ -723,90 +714,34 @@ VM::StepStatus VM::execDecoded(ThreadState &T, const Inst I) {
   case Opcode::Add: R[I.Rd] = R[I.Rs1] + R[I.Rs2]; break;
   case Opcode::Sub: R[I.Rd] = R[I.Rs1] - R[I.Rs2]; break;
   case Opcode::Mul: R[I.Rd] = R[I.Rs1] * R[I.Rs2]; break;
-  case Opcode::Mulh: {
-    __int128 P = static_cast<__int128>(static_cast<int64_t>(R[I.Rs1])) *
-                 static_cast<int64_t>(R[I.Rs2]);
-    R[I.Rd] = static_cast<uint64_t>(P >> 64);
-    break;
-  }
-  case Opcode::Div: {
-    int64_t A = static_cast<int64_t>(R[I.Rs1]);
-    int64_t B = static_cast<int64_t>(R[I.Rs2]);
-    if (B == 0)
-      R[I.Rd] = UINT64_MAX;
-    else if (A == INT64_MIN && B == -1)
-      R[I.Rd] = static_cast<uint64_t>(INT64_MIN);
-    else
-      R[I.Rd] = static_cast<uint64_t>(A / B);
-    break;
-  }
-  case Opcode::Divu:
-    R[I.Rd] = R[I.Rs2] == 0 ? UINT64_MAX : R[I.Rs1] / R[I.Rs2];
-    break;
-  case Opcode::Rem: {
-    int64_t A = static_cast<int64_t>(R[I.Rs1]);
-    int64_t B = static_cast<int64_t>(R[I.Rs2]);
-    if (B == 0)
-      R[I.Rd] = static_cast<uint64_t>(A);
-    else if (A == INT64_MIN && B == -1)
-      R[I.Rd] = 0;
-    else
-      R[I.Rd] = static_cast<uint64_t>(A % B);
-    break;
-  }
-  case Opcode::Remu:
-    R[I.Rd] = R[I.Rs2] == 0 ? R[I.Rs1] : R[I.Rs1] % R[I.Rs2];
-    break;
+  case Opcode::Mulh: R[I.Rd] = sem::mulh(R[I.Rs1], R[I.Rs2]); break;
+  case Opcode::Div: R[I.Rd] = sem::div(R[I.Rs1], R[I.Rs2]); break;
+  case Opcode::Divu: R[I.Rd] = sem::divu(R[I.Rs1], R[I.Rs2]); break;
+  case Opcode::Rem: R[I.Rd] = sem::rem(R[I.Rs1], R[I.Rs2]); break;
+  case Opcode::Remu: R[I.Rd] = sem::remu(R[I.Rs1], R[I.Rs2]); break;
   case Opcode::And: R[I.Rd] = R[I.Rs1] & R[I.Rs2]; break;
   case Opcode::Or: R[I.Rd] = R[I.Rs1] | R[I.Rs2]; break;
   case Opcode::Xor: R[I.Rd] = R[I.Rs1] ^ R[I.Rs2]; break;
-  case Opcode::Shl: R[I.Rd] = R[I.Rs1] << (R[I.Rs2] & 63); break;
-  case Opcode::Shr: R[I.Rd] = R[I.Rs1] >> (R[I.Rs2] & 63); break;
-  case Opcode::Sar:
-    R[I.Rd] = static_cast<uint64_t>(static_cast<int64_t>(R[I.Rs1]) >>
-                                    (R[I.Rs2] & 63));
-    break;
-  case Opcode::Slt:
-    R[I.Rd] = static_cast<int64_t>(R[I.Rs1]) < static_cast<int64_t>(R[I.Rs2]);
-    break;
-  case Opcode::Sltu: R[I.Rd] = R[I.Rs1] < R[I.Rs2]; break;
-  case Opcode::Seq: R[I.Rd] = R[I.Rs1] == R[I.Rs2]; break;
+  case Opcode::Shl: R[I.Rd] = sem::shl(R[I.Rs1], R[I.Rs2]); break;
+  case Opcode::Shr: R[I.Rd] = sem::shr(R[I.Rs1], R[I.Rs2]); break;
+  case Opcode::Sar: R[I.Rd] = sem::sar(R[I.Rs1], R[I.Rs2]); break;
+  case Opcode::Slt: R[I.Rd] = sem::slt(R[I.Rs1], R[I.Rs2]); break;
+  case Opcode::Sltu: R[I.Rd] = sem::sltu(R[I.Rs1], R[I.Rs2]); break;
+  case Opcode::Seq: R[I.Rd] = sem::seq(R[I.Rs1], R[I.Rs2]); break;
   case Opcode::Mov: R[I.Rd] = R[I.Rs1]; break;
 
-  case Opcode::Addi:
-    R[I.Rd] = R[I.Rs1] + static_cast<uint64_t>(static_cast<int64_t>(I.Imm));
-    break;
-  case Opcode::Muli:
-    R[I.Rd] = R[I.Rs1] * static_cast<uint64_t>(static_cast<int64_t>(I.Imm));
-    break;
-  case Opcode::Andi:
-    R[I.Rd] = R[I.Rs1] & static_cast<uint64_t>(static_cast<int64_t>(I.Imm));
-    break;
-  case Opcode::Ori:
-    R[I.Rd] = R[I.Rs1] | static_cast<uint64_t>(static_cast<int64_t>(I.Imm));
-    break;
-  case Opcode::Xori:
-    R[I.Rd] = R[I.Rs1] ^ static_cast<uint64_t>(static_cast<int64_t>(I.Imm));
-    break;
-  case Opcode::Shli: R[I.Rd] = R[I.Rs1] << (I.Imm & 63); break;
-  case Opcode::Shri: R[I.Rd] = R[I.Rs1] >> (I.Imm & 63); break;
-  case Opcode::Sari:
-    R[I.Rd] = static_cast<uint64_t>(static_cast<int64_t>(R[I.Rs1]) >>
-                                    (I.Imm & 63));
-    break;
-  case Opcode::Slti:
-    R[I.Rd] = static_cast<int64_t>(R[I.Rs1]) < static_cast<int64_t>(I.Imm);
-    break;
-  case Opcode::Sltui:
-    R[I.Rd] = R[I.Rs1] < static_cast<uint64_t>(static_cast<int64_t>(I.Imm));
-    break;
-  case Opcode::Ldi:
-    R[I.Rd] = static_cast<uint64_t>(static_cast<int64_t>(I.Imm));
-    break;
-  case Opcode::Ldih:
-    R[I.Rd] = (static_cast<uint64_t>(static_cast<uint32_t>(I.Imm)) << 32) |
-              (R[I.Rd] & 0xffffffffull);
-    break;
+  case Opcode::Addi: R[I.Rd] = R[I.Rs1] + sem::sext(I.Imm); break;
+  case Opcode::Muli: R[I.Rd] = R[I.Rs1] * sem::sext(I.Imm); break;
+  case Opcode::Andi: R[I.Rd] = R[I.Rs1] & sem::sext(I.Imm); break;
+  case Opcode::Ori: R[I.Rd] = R[I.Rs1] | sem::sext(I.Imm); break;
+  case Opcode::Xori: R[I.Rd] = R[I.Rs1] ^ sem::sext(I.Imm); break;
+  case Opcode::Shli: R[I.Rd] = sem::shl(R[I.Rs1], sem::sext(I.Imm)); break;
+  case Opcode::Shri: R[I.Rd] = sem::shr(R[I.Rs1], sem::sext(I.Imm)); break;
+  case Opcode::Sari: R[I.Rd] = sem::sar(R[I.Rs1], sem::sext(I.Imm)); break;
+  case Opcode::Slti: R[I.Rd] = sem::slt(R[I.Rs1], sem::sext(I.Imm)); break;
+  case Opcode::Sltui: R[I.Rd] = sem::sltu(R[I.Rs1], sem::sext(I.Imm)); break;
+  case Opcode::Ldi: R[I.Rd] = sem::sext(I.Imm); break;
+  case Opcode::Ldih: R[I.Rd] = sem::ldih(R[I.Rd], I.Imm); break;
 
   // ---- Loads/stores ----
   case Opcode::Ld1:
@@ -816,10 +751,7 @@ VM::StepStatus VM::execDecoded(ThreadState &T, const Inst I) {
   case Opcode::Ld1s:
   case Opcode::Ld2s:
   case Opcode::Ld4s: {
-    uint32_t Size = I.Op == Opcode::Ld1 || I.Op == Opcode::Ld1s   ? 1
-                    : I.Op == Opcode::Ld2 || I.Op == Opcode::Ld2s ? 2
-                    : I.Op == Opcode::Ld4 || I.Op == Opcode::Ld4s ? 4
-                                                                  : 8;
+    uint32_t Size = sem::accessSize(I.Op);
     uint64_t Addr = R[I.Rs1] + static_cast<int64_t>(I.Imm);
     MemAccess(Addr, Size, false);
     uint64_t V = 0;
@@ -828,25 +760,14 @@ VM::StepStatus VM::execDecoded(ThreadState &T, const Inst I) {
       return fault(T, Addr, "load from %s address %#llx",
                    RF == MemFault::Unmapped ? "unmapped" : "unreadable",
                    static_cast<unsigned long long>(Addr));
-    if (I.Op == Opcode::Ld1s)
-      V = static_cast<uint64_t>(static_cast<int64_t>(static_cast<int8_t>(V)));
-    else if (I.Op == Opcode::Ld2s)
-      V = static_cast<uint64_t>(
-          static_cast<int64_t>(static_cast<int16_t>(V)));
-    else if (I.Op == Opcode::Ld4s)
-      V = static_cast<uint64_t>(
-          static_cast<int64_t>(static_cast<int32_t>(V)));
-    R[I.Rd] = V;
+    R[I.Rd] = sem::extendLoad(V, Size, sem::isSignedLoad(I.Op));
     break;
   }
   case Opcode::St1:
   case Opcode::St2:
   case Opcode::St4:
   case Opcode::St8: {
-    uint32_t Size = I.Op == Opcode::St1   ? 1
-                    : I.Op == Opcode::St2 ? 2
-                    : I.Op == Opcode::St4 ? 4
-                                          : 8;
+    uint32_t Size = sem::accessSize(I.Op);
     uint64_t Addr = R[I.Rs1] + static_cast<int64_t>(I.Imm);
     MemAccess(Addr, Size, true);
     uint64_t V = R[I.Rd];
@@ -944,15 +865,8 @@ VM::StepStatus VM::execDecoded(ThreadState &T, const Inst I) {
   case Opcode::Fsub: F[I.Rd] = F[I.Rs1] - F[I.Rs2]; break;
   case Opcode::Fmul: F[I.Rd] = F[I.Rs1] * F[I.Rs2]; break;
   case Opcode::Fdiv: F[I.Rd] = F[I.Rs1] / F[I.Rs2]; break;
-  // fmin/fmax follow SSE minsd/maxsd semantics — the second source is
-  // returned when the operands are unordered (NaN) or equal — so the
-  // native translation matches the interpreter bit-for-bit.
-  case Opcode::Fmin:
-    F[I.Rd] = F[I.Rs1] < F[I.Rs2] ? F[I.Rs1] : F[I.Rs2];
-    break;
-  case Opcode::Fmax:
-    F[I.Rd] = F[I.Rs1] > F[I.Rs2] ? F[I.Rs1] : F[I.Rs2];
-    break;
+  case Opcode::Fmin: F[I.Rd] = sem::fmin(F[I.Rs1], F[I.Rs2]); break;
+  case Opcode::Fmax: F[I.Rd] = sem::fmax(F[I.Rs1], F[I.Rs2]); break;
   case Opcode::Fsqrt: F[I.Rd] = std::sqrt(F[I.Rs1]); break;
   case Opcode::Fneg: F[I.Rd] = -F[I.Rs1]; break;
   case Opcode::Fabs: F[I.Rd] = std::fabs(F[I.Rs1]); break;
@@ -987,22 +901,7 @@ VM::StepStatus VM::execDecoded(ThreadState &T, const Inst I) {
   case Opcode::Fcvtid:
     F[I.Rd] = static_cast<double>(static_cast<int64_t>(R[I.Rs1]));
     break;
-  case Opcode::Fcvtdi: {
-    double V = F[I.Rs1];
-    int64_t Out;
-    // Saturating conversion with a defined NaN result so the native
-    // translation (cvttsd2si semantics) matches exactly.
-    if (std::isnan(V))
-      Out = INT64_MIN;
-    else if (V >= 9223372036854775808.0)
-      Out = INT64_MIN; // matches x86 cvttsd2si overflow (0x8000...)
-    else if (V <= -9223372036854775808.0)
-      Out = INT64_MIN;
-    else
-      Out = static_cast<int64_t>(V);
-    R[I.Rd] = static_cast<uint64_t>(Out);
-    break;
-  }
+  case Opcode::Fcvtdi: R[I.Rd] = sem::fcvtdi(F[I.Rs1]); break;
   case Opcode::FmvToF:
     std::memcpy(&F[I.Rd], &R[I.Rs1], 8);
     break;

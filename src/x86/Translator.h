@@ -38,6 +38,7 @@
 #include "isa/ISA.h"
 #include "support/Error.h"
 #include "x86/Encoder.h"
+#include "x86/Lowering.h"
 
 #include <cstdint>
 #include <map>
@@ -118,15 +119,11 @@ private:
   void translateInst(uint64_t PC, const isa::Inst &I,
                      const RuntimeLabels &RT);
   Label &labelFor(uint64_t GuestAddr);
-  // Helpers reading/writing guest register slots.
-  void loadGpr(Reg Dst, unsigned GuestReg);
-  void storeGpr(unsigned GuestReg, Reg Src);
-  void loadFprBits(Reg Dst, unsigned GuestReg);
-  void storeFprBits(unsigned GuestReg, Reg Src);
   void storeLinkAddress(unsigned GuestReg, uint64_t Value);
 
   Encoder &E;
   TranslatorConfig Config;
+  Lowering Lower{E, {R15, CtxLayout::GprOff, CtxLayout::FprOff}};
   std::map<uint64_t, std::vector<uint8_t>> Pages;
   uint64_t CodeLo = 0, CodeHi = 0;
   std::map<uint64_t, Label> Labels;      // guest addr -> host label
