@@ -20,10 +20,12 @@
 
 #include "analyze/Passes.h"
 #include "analyze/cfg/CodePasses.h"
+#include "analyze/cfg/Dataflow.h"
 #include "core/Pinball2Elf.h"
 #include "isa/ISA.h"
 #include "vm/VM.h"
 
+#include "../common/RandomProgram.h"
 #include "../common/TestHelpers.h"
 
 #include <gtest/gtest.h>
@@ -173,6 +175,55 @@ TEST(CfgDataflow, NonExitSyscallFallsThrough) {
   EXPECT_EQ(G.Blocks.size(), 2u);
   EXPECT_EQ(G.InstPCs.size(), 3u);
 }
+
+/// The folder may only claim constants the interpreter computes: fold the
+/// random straight-line programs of the translator differential test
+/// linearly from the all-unknown state while the interpreter steps the
+/// same instructions, and compare every GPR the folder knows after each
+/// one.
+class CfgFolderDifferential : public testing::TestWithParam<uint64_t> {};
+
+TEST_P(CfgFolderDifferential, KnownRegistersMatchInterpreter) {
+  unsigned Checked = 0;
+  for (unsigned Round = 0; Round < 4; ++Round) {
+    std::string Src = randomComputeProgram(GetParam() * 97 + Round, 120);
+    auto Image = easm::assembleToELF(Src, "fold.s");
+    ASSERT_TRUE(Image.hasValue()) << Image.message();
+    auto Elf = elf::ELFReader::parse(*Image);
+    ASSERT_TRUE(Elf.hasValue()) << Elf.message();
+    const auto *BodyEnd = Elf->findSymbol("body_end");
+    ASSERT_NE(BodyEnd, nullptr);
+    auto M = makeVM(Src, nullptr);
+    ASSERT_NE(M, nullptr);
+    const vm::ThreadState *T = M->thread(0);
+    ASSERT_NE(T, nullptr);
+
+    cfg::RegState S;
+    for (uint64_t PC = Elf->entry(); PC < BodyEnd->Value;
+         PC += isa::InstSize) {
+      ASSERT_EQ(T->PC, PC) << "the body is straight-line";
+      uint8_t Raw[isa::InstSize];
+      ASSERT_TRUE(Elf->readAtVAddr(PC, Raw, sizeof(Raw)));
+      isa::Inst I;
+      ASSERT_TRUE(isa::decode(Raw, I));
+      cfg::applyInst(I, PC, S);
+      ASSERT_EQ(M->stepThread(0), vm::StopReason::BudgetReached);
+      for (unsigned Reg = 0; Reg < isa::NumGPRs; ++Reg) {
+        if (!S.known(Reg))
+          continue;
+        ++Checked;
+        EXPECT_EQ(S.get(Reg), T->GPR[Reg])
+            << "round " << Round << ", r" << Reg << " after "
+            << isa::disassemble(I, PC);
+      }
+    }
+  }
+  EXPECT_GT(Checked, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CfgFolderDifferential,
+                         testing::Values(1ull, 2ull, 3ull, 4ull, 5ull,
+                                         6ull));
 
 TEST(CfgDataflow, ResolvesSyscallNumbersAndAddresses) {
   std::vector<isa::Inst> Prog = {

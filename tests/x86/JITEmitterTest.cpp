@@ -410,6 +410,17 @@ TEST(JITEmitter, JalrLinksAndExitsIndirect) {
   EXPECT_EQ(H.Ctx.NextPC, StartPC);
   EXPECT_EQ(H.Ctx.Countdown, 9);
   EXPECT_EQ(H.T.GPR[14], 0u);
+
+  // rd == rs1: the target comes from the old r5, then r5 takes the link.
+  size_t Same = H.addBlock(StartPC, {
+      I3(isa::Opcode::Jalr, 5, 5, 0, 8),
+  });
+  ASSERT_NE(Same, SIZE_MAX);
+  H.T.GPR[5] = 0x70000;
+  EXPECT_EQ(H.run(Same, 9), JitExitIndirect);
+  EXPECT_EQ(H.Ctx.NextPC, 0x70008u); // old r5 + imm
+  EXPECT_EQ(H.T.GPR[5], StartPC + 8); // link
+  EXPECT_EQ(H.Ctx.Countdown, 8);
 }
 
 TEST(JITEmitter, DivisionEdgeCasesMatchTheInterpreter) {
