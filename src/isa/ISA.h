@@ -24,7 +24,8 @@
 /// by convention), f0..f15 IEEE-754 doubles, pc. There is no flags register;
 /// comparisons write 0/1 into a GPR (RISC-V style). Integer division follows
 /// RISC-V semantics (div by zero => all-ones / rs1; INT64_MIN/-1 =>
-/// INT64_MIN / 0) so that native translation can reproduce them exactly.
+/// INT64_MIN / 0), defined once in isa/Semantics.h, so that native
+/// translation can reproduce them exactly.
 ///
 //===----------------------------------------------------------------------===//
 
