@@ -27,6 +27,7 @@
 
 #include "elf/ELFReader.h"
 #include "pinball/Pinball.h"
+#include "support/Json.h"
 
 #include <cstdint>
 #include <memory>
@@ -56,12 +57,10 @@ struct Finding {
 /// itself is locked by the golden-file test in tests/analyze.
 constexpr unsigned ReportSchemaVersion = 1;
 
-/// Appends \p S as a JSON string literal (quotes + escapes).
-void appendJSONString(std::string &Out, const std::string &S);
-
-/// Appends `"findings":[...],"errors":N,"warnings":N,"notes":N` — the
-/// common tail of every report object (everify's and ecfg's).
-void appendFindingsJSON(std::string &Out, const std::vector<Finding> &Fs);
+/// Writes the members `"findings":[...],"errors":N,"warnings":N,"notes":N`
+/// into the object open in \p W — the common tail of every report object
+/// (everify's and ecfg's).
+void writeFindingsJSON(json::Writer &W, const std::vector<Finding> &Fs);
 
 /// Accumulates findings across passes and renders them.
 class Report {

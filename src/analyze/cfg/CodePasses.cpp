@@ -10,6 +10,7 @@
 
 #include "pinball/Pinball.h"
 #include "support/Format.h"
+#include "support/Json.h"
 #include "x86/JITEmitter.h"
 
 #include <algorithm>
@@ -408,73 +409,52 @@ std::string cfg::renderCodeText(const CodeAnalysis &A) {
 
 std::string cfg::renderCodeJSON(const CodeAnalysis &A) {
   const CodeReport &R = A.Report;
-  std::string Out =
-      formatString("{\"schema\":%u,\"tool\":\"ecfg\",", ReportSchemaVersion);
-  Out += formatString(
-      "\"seeds\":%llu,\"blocks\":%llu,\"insts\":%llu,"
-      "\"indirect_sites\":%llu,\"truncated\":%s,",
-      static_cast<unsigned long long>(R.Seeds),
-      static_cast<unsigned long long>(R.Blocks),
-      static_cast<unsigned long long>(R.Insts),
-      static_cast<unsigned long long>(R.IndirectSites),
-      R.Truncated ? "true" : "false");
-  Out += "\"syscalls\":{\"sites\":{";
-  {
-    bool First = true;
-    for (const auto &[Nr, N] : R.SyscallSites) {
-      if (!First)
-        Out += ',';
-      First = false;
-      Out += formatString("\"%llu\":%llu",
-                          static_cast<unsigned long long>(Nr),
-                          static_cast<unsigned long long>(N));
-    }
-  }
-  Out += formatString("},\"unknown_sites\":%llu,\"families\":[",
-                      static_cast<unsigned long long>(
-                          R.UnknownSyscallSites));
-  for (size_t I = 0; I < R.Families.size(); ++I) {
-    if (I)
-      Out += ',';
-    appendJSONString(Out, R.Families[I]);
-  }
-  Out += "],\"unprovisioned\":[";
-  for (size_t I = 0; I < R.Unprovisioned.size(); ++I) {
-    if (I)
-      Out += ',';
-    appendJSONString(Out, R.Unprovisioned[I]);
-  }
-  Out += formatString("],\"provisioning_known\":%s},",
-                      R.ProvisioningKnown ? "true" : "false");
-  Out += formatString("\"memory\":{\"resolved_loads\":%llu,"
-                      "\"unknown_loads\":%llu,\"resolved_stores\":%llu,"
-                      "\"unknown_stores\":%llu},",
-                      static_cast<unsigned long long>(R.ResolvedLoads),
-                      static_cast<unsigned long long>(R.UnknownLoads),
-                      static_cast<unsigned long long>(R.ResolvedStores),
-                      static_cast<unsigned long long>(R.UnknownStores));
-  Out += formatString("\"smc\":{\"known_sites\":%llu,"
-                      "\"writable_exec_pages\":%s},",
-                      static_cast<unsigned long long>(R.SmcSites),
-                      R.WritableExecPages ? "true" : "false");
-  Out += formatString("\"jit\":{\"translatable_insts\":%llu,"
-                      "\"translatable_pct\":%.1f,\"bailouts\":{",
-                      static_cast<unsigned long long>(R.TranslatableInsts),
-                      R.translatablePct());
-  {
-    bool First = true;
-    for (const auto &[Op, N] : R.BailoutOps) {
-      if (!First)
-        Out += ',';
-      First = false;
-      appendJSONString(Out, Op);
-      Out += formatString(":%llu", static_cast<unsigned long long>(N));
-    }
-  }
-  Out += "}},";
-  appendFindingsJSON(Out, A.Findings);
-  Out += "}\n";
-  return Out;
+  json::Writer W;
+  W.beginObject();
+  W.key("schema").u64(ReportSchemaVersion);
+  W.key("tool").string("ecfg");
+  W.key("seeds").u64(R.Seeds);
+  W.key("blocks").u64(R.Blocks);
+  W.key("insts").u64(R.Insts);
+  W.key("indirect_sites").u64(R.IndirectSites);
+  W.key("truncated").boolean(R.Truncated);
+  W.key("syscalls").beginObject();
+  W.key("sites").beginObject();
+  for (const auto &[Nr, N] : R.SyscallSites)
+    W.key(std::to_string(Nr)).u64(N);
+  W.endObject();
+  W.key("unknown_sites").u64(R.UnknownSyscallSites);
+  W.key("families").beginArray();
+  for (const std::string &F : R.Families)
+    W.string(F);
+  W.endArray();
+  W.key("unprovisioned").beginArray();
+  for (const std::string &U : R.Unprovisioned)
+    W.string(U);
+  W.endArray();
+  W.key("provisioning_known").boolean(R.ProvisioningKnown);
+  W.endObject();
+  W.key("memory").beginObject();
+  W.key("resolved_loads").u64(R.ResolvedLoads);
+  W.key("unknown_loads").u64(R.UnknownLoads);
+  W.key("resolved_stores").u64(R.ResolvedStores);
+  W.key("unknown_stores").u64(R.UnknownStores);
+  W.endObject();
+  W.key("smc").beginObject();
+  W.key("known_sites").u64(R.SmcSites);
+  W.key("writable_exec_pages").boolean(R.WritableExecPages);
+  W.endObject();
+  W.key("jit").beginObject();
+  W.key("translatable_insts").u64(R.TranslatableInsts);
+  W.key("translatable_pct").number(formatString("%.1f", R.translatablePct()));
+  W.key("bailouts").beginObject();
+  for (const auto &[Op, N] : R.BailoutOps)
+    W.key(Op).u64(N);
+  W.endObject();
+  W.endObject();
+  writeFindingsJSON(W, A.Findings);
+  W.endObject();
+  return W.str() + "\n";
 }
 
 std::string cfg::renderCodeDot(const CodeAnalysis &A) {

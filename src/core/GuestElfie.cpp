@@ -22,7 +22,6 @@
 #include "elf/ELFWriter.h"
 #include "support/Format.h"
 
-#include <algorithm>
 #include <cstring>
 
 using namespace elfie;
@@ -112,40 +111,10 @@ core::emitGuestElfie(const Pinball &PB, const Pinball2ElfOptions &Opts) {
   // Pinball pages, coalesced into runs (paper §II-B2). The guest target
   // has no loader stack collision — the EVM builds a fresh address space —
   // so stack pages load directly at their original addresses.
-  std::vector<const PageRecord *> Sorted;
+  std::vector<const PageRecord *> Pages;
   for (const PageRecord &P : PB.Image)
-    Sorted.push_back(&P);
-  std::sort(Sorted.begin(), Sorted.end(),
-            [](const PageRecord *A, const PageRecord *B) {
-              return A->Addr < B->Addr;
-            });
-  size_t I = 0;
-  unsigned FirstPageSec = 0;
-  while (I < Sorted.size()) {
-    size_t J = I + 1;
-    while (J < Sorted.size() &&
-           Sorted[J]->Addr == Sorted[J - 1]->Addr + vm::GuestPageSize &&
-           Sorted[J]->Perm == Sorted[I]->Perm)
-      ++J;
-    std::vector<std::span<const uint8_t>> Run;
-    Run.reserve(J - I);
-    for (size_t K = I; K < J; ++K)
-      Run.push_back({Sorted[K]->Bytes.data(), Sorted[K]->Bytes.size()});
-    uint64_t Flags = elf::SHF_ALLOC;
-    if (Sorted[I]->Perm & vm::PermWrite)
-      Flags |= elf::SHF_WRITE;
-    if (Sorted[I]->Perm & vm::PermExec)
-      Flags |= elf::SHF_EXECINSTR;
-    const char *Prefix =
-        (Sorted[I]->Perm & vm::PermExec) ? ".text" : ".data";
-    unsigned Sec = W.addSectionChunks(
-        formatString("%s.0x%llx", Prefix,
-                     static_cast<unsigned long long>(Sorted[I]->Addr)),
-        Flags, Sorted[I]->Addr, std::move(Run), vm::GuestPageSize);
-    if (!FirstPageSec)
-      FirstPageSec = Sec;
-    I = J;
-  }
+    Pages.push_back(&P);
+  addPageSections(W, std::move(Pages));
 
   // Startup sections.
   unsigned StartupSec = 0;
@@ -163,19 +132,11 @@ core::emitGuestElfie(const Pinball &PB, const Pinball2ElfOptions &Opts) {
   // Symbols: startup entries and per-thread budgets (§II-B5).
   W.addSymbol("elfie_on_start", Startup->Entry, StartupSec,
               elf::STB_GLOBAL, elf::STT_FUNC);
-  for (unsigned T = 0; T < PB.Threads.size(); ++T) {
+  addRegionSymbols(W, PB, Opts, [&](unsigned T) {
     auto It = Startup->Symbols.find(formatString("t%u_entry", T));
     if (It != Startup->Symbols.end())
       W.addSymbol(formatString("elfie_t%u_start", T), It->second,
                   StartupSec, elf::STB_GLOBAL, elf::STT_FUNC);
-    W.addSymbol(formatString(".t%u.icount", T),
-                PB.Threads[T].RegionIcount, elf::SHN_ABS, elf::STB_LOCAL);
-  }
-  W.addSymbol("elfie_region_length", PB.Meta.RegionLength, elf::SHN_ABS,
-              elf::STB_GLOBAL);
-  if (Opts.WarmupLength)
-    W.addSymbol("elfie_warmup_length", Opts.WarmupLength, elf::SHN_ABS,
-                elf::STB_GLOBAL);
-  (void)FirstPageSec;
+  });
   return W.finalize();
 }

@@ -41,10 +41,15 @@
 #include "sysstate/SysState.h"
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
 namespace elfie {
+namespace elf {
+class ELFWriter;
+}
 namespace core {
 
 /// Conversion options (pinball2elf command-line surface).
@@ -137,6 +142,35 @@ Expected<std::vector<uint8_t>>
 emitGuestElfie(const pinball::Pinball &PB, const Pinball2ElfOptions &Opts);
 Expected<std::vector<uint8_t>>
 emitElfieObject(const pinball::Pinball &PB, const Pinball2ElfOptions &Opts);
+
+// Emission steps every target shares; each emitter passes its own page set.
+
+/// Address-contiguous pages with equal permissions, lowest address first.
+using PageRun = std::span<const pinball::PageRecord *const>;
+
+/// True when \p P lies in the checkpointed stack, which the native target
+/// stashes and remaps at startup instead of loading in place (§II-B3).
+inline bool isStackPage(const pinball::Pinball &PB,
+                        const pinball::PageRecord &P) {
+  return P.Addr >= PB.Meta.StackBase && P.Addr < PB.Meta.StackTop;
+}
+
+/// Sorts \p Pages by address and calls \p Fn once per run.
+void forEachPageRun(std::vector<const pinball::PageRecord *> Pages,
+                    const std::function<void(PageRun)> &Fn);
+
+/// Adds one `.text.0x<addr>` / `.data.0x<addr>` section per run of
+/// \p Pages, loaded at the run's own address (§II-B2).
+void addPageSections(elf::ELFWriter &W,
+                     std::vector<const pinball::PageRecord *> Pages);
+
+/// Adds each thread's `.t<N>.icount` budget and the global
+/// `elfie_region_length` (and, when set, `elfie_warmup_length`) symbols
+/// (§II-B5). \p ThreadSymbols adds thread N's other symbols just before
+/// its budget.
+void addRegionSymbols(elf::ELFWriter &W, const pinball::Pinball &PB,
+                      const Pinball2ElfOptions &Opts,
+                      const std::function<void(unsigned)> &ThreadSymbols);
 
 } // namespace core
 } // namespace elfie

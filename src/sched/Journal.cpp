@@ -8,6 +8,7 @@
 #include "sched/Journal.h"
 
 #include "support/Format.h"
+#include "support/Json.h"
 
 #include <algorithm>
 #include <cctype>
@@ -16,38 +17,8 @@
 using namespace elfie;
 using namespace elfie::sched;
 
-/// Journal strings are paths, ids, and enum words; escape the JSON
-/// metacharacters and control bytes so every record stays one line.
-static std::string escapeJSON(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size() + 2);
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20)
-        Out += formatString("\\u%04x", C);
-      else
-        Out += C;
-    }
-  }
-  return Out;
-}
-
+/// Journal values are flat strings; the ones that spell an integer are
+/// written (and accepted back) as bare JSON numbers.
 static bool looksNumeric(const std::string &V) {
   if (V.empty())
     return false;
@@ -60,26 +31,25 @@ static bool looksNumeric(const std::string &V) {
   return true;
 }
 
+static void writeValue(json::Writer &W, const std::string &V) {
+  if (looksNumeric(V))
+    W.number(V);
+  else
+    W.string(V);
+}
+
 std::string elfie::sched::renderJournalRecord(const JournalRecord &Rec) {
   // "rec" leads for scannability; the rest in map (sorted) order.
-  std::string Out = "{";
-  auto Emit = [&](const std::string &K, const std::string &V) {
-    if (Out.size() > 1)
-      Out += ",";
-    Out += "\"" + escapeJSON(K) + "\":";
-    if (looksNumeric(V))
-      Out += V;
-    else
-      Out += "\"" + escapeJSON(V) + "\"";
-  };
+  json::Writer W;
+  W.beginObject();
   auto RecIt = Rec.find("rec");
   if (RecIt != Rec.end())
-    Emit("rec", RecIt->second);
+    writeValue(W.key("rec"), RecIt->second);
   for (const auto &[K, V] : Rec)
     if (K != "rec")
-      Emit(K, V);
-  Out += "}";
-  return Out;
+      writeValue(W.key(K), V);
+  W.endObject();
+  return W.str();
 }
 
 namespace {
@@ -193,18 +163,7 @@ private:
     Out = S.substr(Start, Pos - Start);
     if (Out == "true" || Out == "false")
       return true;
-    return looksNumericToken(Out);
-  }
-  static bool looksNumericToken(const std::string &V) {
-    if (V.empty())
-      return false;
-    size_t I = V[0] == '-' ? 1 : 0;
-    if (I == V.size())
-      return false;
-    for (; I < V.size(); ++I)
-      if (!std::isdigit(static_cast<unsigned char>(V[I])))
-        return false;
-    return true;
+    return looksNumeric(Out);
   }
 
   const std::string &S;

@@ -51,6 +51,21 @@ std::vector<std::string> elfie::splitString(const std::string &Text,
   }
 }
 
+std::vector<std::string> elfie::tokenize(const std::string &Line) {
+  std::vector<std::string> Toks;
+  size_t I = 0;
+  while (I < Line.size()) {
+    while (I < Line.size() && (Line[I] == ' ' || Line[I] == '\t'))
+      ++I;
+    size_t Start = I;
+    while (I < Line.size() && Line[I] != ' ' && Line[I] != '\t')
+      ++I;
+    if (I > Start)
+      Toks.push_back(Line.substr(Start, I - Start));
+  }
+  return Toks;
+}
+
 std::string elfie::trimString(const std::string &Text) {
   size_t Begin = 0, End = Text.size();
   while (Begin < End && std::isspace(static_cast<unsigned char>(Text[Begin])))

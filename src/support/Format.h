@@ -30,6 +30,9 @@ std::string toHex(uint64_t Value);
 /// Splits \p Text on \p Sep, keeping empty fields.
 std::vector<std::string> splitString(const std::string &Text, char Sep);
 
+/// Splits \p Line on runs of spaces and tabs, dropping empty tokens.
+std::vector<std::string> tokenize(const std::string &Line);
+
 /// Strips leading and trailing whitespace.
 std::string trimString(const std::string &Text);
 

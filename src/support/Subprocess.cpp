@@ -12,6 +12,7 @@
 #include <cstring>
 #include <ctime>
 #include <fcntl.h>
+#include <filesystem>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -150,6 +151,14 @@ void elfie::killProcessTree(pid_t Pid, int Sig) {
     return;
   if (::kill(-Pid, Sig) != 0)
     ::kill(Pid, Sig);
+}
+
+std::string elfie::selfBinDir(const char *Argv0) {
+  namespace fs = std::filesystem;
+  std::error_code EC;
+  fs::path Exe = fs::read_symlink("/proc/self/exe", EC);
+  std::string Dir = (EC ? fs::path(Argv0) : Exe).parent_path();
+  return Dir.empty() ? "." : Dir;
 }
 
 uint64_t elfie::monotonicMillis() {

@@ -77,6 +77,11 @@ Expected<WaitResult> waitProcess(pid_t Pid);
 /// process when it leads no group). Safe to call on already-dead children.
 void killProcessTree(pid_t Pid, int Sig);
 
+/// Directory holding the running executable (from /proc/self/exe, else
+/// from \p Argv0). Tools that run sibling tools default to it, so one
+/// installed next to them needs no -bindir.
+std::string selfBinDir(const char *Argv0);
+
 /// Monotonic milliseconds (CLOCK_MONOTONIC); the campaign runner's clock
 /// for timeouts and backoff deadlines.
 uint64_t monotonicMillis();

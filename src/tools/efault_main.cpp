@@ -20,10 +20,11 @@
 #include "support/CommandLine.h"
 #include "support/FileIO.h"
 #include "support/Format.h"
+#include "support/Json.h"
 #include "support/MappedFile.h"
+#include "support/Subprocess.h"
 
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -144,23 +145,6 @@ bool hasStableDiagnostic(const std::string &Out) {
   return false;
 }
 
-std::string selfBinDir() {
-  char Buf[4096];
-  ssize_t N = ::readlink("/proc/self/exe", Buf, sizeof(Buf) - 1);
-  if (N <= 0)
-    return ".";
-  Buf[N] = 0;
-  std::string Path(Buf);
-  size_t Slash = Path.rfind('/');
-  return Slash == std::string::npos ? std::string(".")
-                                    : Path.substr(0, Slash);
-}
-
-bool isDirectory(const std::string &Path) {
-  struct stat St;
-  return ::stat(Path.c_str(), &St) == 0 && S_ISDIR(St.st_mode);
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -208,7 +192,7 @@ int main(int Argc, char **Argv) {
           "EFAULT.IO.OPEN", "no ELFie '%s' next to the sidecar '%s'",
           SimStateElfie.c_str(), Artifact.c_str()));
   }
-  const std::string BinDir = selfBinDir();
+  const std::string BinDir = selfBinDir(Argv[0]);
   const unsigned TimeoutMs =
       static_cast<unsigned>(CL.getInt("timeout")) * 1000u;
   std::string Scratch = CL.getString("scratch");
@@ -376,39 +360,36 @@ int main(int Argc, char **Argv) {
 
   uint64_t Failures = Crashes + Hangs + Uncoded;
   if (CL.getFlag("json")) {
-    std::string SimStateJSON;
+    json::Writer W;
+    W.beginObject();
+    W.key("artifact").string(Artifact);
+    W.key("kind").string(IsStore     ? "store"
+                         : IsPinball ? "pinball"
+                         : IsSimState ? "simstate"
+                                      : "elfie");
+    W.key("runs").u64(Runs);
+    W.key("invocations").u64(Invocations);
+    W.key("crashes").u64(Crashes);
+    W.key("hangs").u64(Hangs);
+    W.key("uncoded").u64(Uncoded);
+    W.key("rejections").u64(Rejections);
+    W.key("benign").u64(Benign);
+    W.key("store").beginObject();
+    W.key("digest").u64(StoreDigest);
+    W.key("seal").u64(StoreSeal);
+    W.key("missing").u64(StoreMissing);
+    W.key("manifest").u64(StoreManifest);
+    W.endObject();
+    W.key("simstate").beginObject();
     for (size_t T = 0; T < NumSimStateTags; ++T) {
       std::string Key = SimStateTags[T];
       for (char &C : Key)
         C = static_cast<char>(std::tolower(C));
-      SimStateJSON += formatString(
-          "%s\"%s\":%llu", T ? "," : "", Key.c_str(),
-          static_cast<unsigned long long>(SimStateClass[T]));
+      W.key(Key).u64(SimStateClass[T]);
     }
-    std::printf("{\"artifact\":\"%s\",\"kind\":\"%s\",\"runs\":%llu,"
-                "\"invocations\":%llu,\"crashes\":%llu,\"hangs\":%llu,"
-                "\"uncoded\":%llu,\"rejections\":%llu,\"benign\":%llu,"
-                "\"store\":{\"digest\":%llu,\"seal\":%llu,"
-                "\"missing\":%llu,\"manifest\":%llu},"
-                "\"simstate\":{%s},"
-                "\"failures\":%llu}\n",
-                Artifact.c_str(),
-                IsStore ? "store"
-                        : (IsPinball ? "pinball"
-                                     : (IsSimState ? "simstate" : "elfie")),
-                static_cast<unsigned long long>(Runs),
-                static_cast<unsigned long long>(Invocations),
-                static_cast<unsigned long long>(Crashes),
-                static_cast<unsigned long long>(Hangs),
-                static_cast<unsigned long long>(Uncoded),
-                static_cast<unsigned long long>(Rejections),
-                static_cast<unsigned long long>(Benign),
-                static_cast<unsigned long long>(StoreDigest),
-                static_cast<unsigned long long>(StoreSeal),
-                static_cast<unsigned long long>(StoreMissing),
-                static_cast<unsigned long long>(StoreManifest),
-                SimStateJSON.c_str(),
-                static_cast<unsigned long long>(Failures));
+    W.endObject();
+    W.key("failures").u64(Failures);
+    std::printf("%s\n", W.endObject().str().c_str());
   } else {
     std::fprintf(stderr,
                  "efault: %llu runs, %llu invocations: %llu crashes, "

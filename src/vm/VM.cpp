@@ -1128,3 +1128,28 @@ VM::StepStatus VM::doSyscall(ThreadState &T) {
                static_cast<unsigned long long>(Nr),
                static_cast<unsigned long long>(PC));
 }
+
+void vm::printStats(std::FILE *Out, const char *Prefix,
+                    const DecodeCacheStats &Cache, const MemStats &Mem,
+                    const JitStats &Jit) {
+  std::fprintf(Out,
+               "%sdecode cache: %llu hits, %llu misses, %llu invalidations\n",
+               Prefix, static_cast<unsigned long long>(Cache.Hits),
+               static_cast<unsigned long long>(Cache.Misses),
+               static_cast<unsigned long long>(Cache.Invalidations));
+  std::fprintf(Out,
+               "%smemory: %llu image extents, %llu cow faults, %llu dirty "
+               "bytes\n",
+               Prefix, static_cast<unsigned long long>(Mem.ImageExtents),
+               static_cast<unsigned long long>(Mem.CowFaults),
+               static_cast<unsigned long long>(Mem.DirtyBytes));
+  std::fprintf(Out,
+               "%sjit: %llu blocks, %llu hits, %llu flushes, %llu bailouts, "
+               "%llu invalidations, %llu dispatches\n",
+               Prefix, static_cast<unsigned long long>(Jit.Blocks),
+               static_cast<unsigned long long>(Jit.Hits),
+               static_cast<unsigned long long>(Jit.Flushes),
+               static_cast<unsigned long long>(Jit.Bailouts),
+               static_cast<unsigned long long>(Jit.Invalidations),
+               static_cast<unsigned long long>(Jit.Dispatches));
+}

@@ -34,6 +34,7 @@
 #include "vm/Memory.h"
 
 #include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <map>
 #include <memory>
@@ -351,6 +352,12 @@ private:
   std::map<int, FDEntry> FDs;
   int NextFd = 3;
 };
+
+/// Prints the `-vm:stats` report — decode-cache, memory and JIT counters,
+/// one line each — to \p Out, every line led by \p Prefix.
+void printStats(std::FILE *Out, const char *Prefix,
+                const DecodeCacheStats &Cache, const MemStats &Mem,
+                const JitStats &Jit);
 
 } // namespace vm
 } // namespace elfie

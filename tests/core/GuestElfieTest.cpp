@@ -13,6 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Pinball2Elf.h"
+#include "support/Format.h"
 
 #include "../common/TestHelpers.h"
 
@@ -215,6 +216,37 @@ TEST(GuestElfie, SymbolsCarryBudgets) {
   ASSERT_NE(Len, nullptr);
   EXPECT_EQ(Len->Value, 4000u);
   EXPECT_NE(Reader->findSymbol("elfie_t0_start"), nullptr);
+  removeTree(Dir);
+}
+
+TEST(GuestElfie, LayoutLoadsStackInPlace) {
+  // The guest ELFie loads its stack run at the run's own address, so the
+  // layout must describe it that way rather than as a stashed stack.
+  std::string Dir = tempDir("layout");
+  auto PB = capture(Dir, computeProgram(), 1000, 1000, LoggerOptions::fat());
+  ASSERT_TRUE(PB.hasValue());
+  Pinball2ElfOptions Opts;
+  Opts.TargetKind = Pinball2ElfOptions::Target::Guest;
+  std::string Script = describeLayout(*PB, Opts);
+  EXPECT_EQ(Script.find("stashed"), std::string::npos) << Script;
+  EXPECT_EQ(Script.find(".stack."), std::string::npos) << Script;
+  auto Image = pinballToElf(*PB, Opts);
+  ASSERT_TRUE(Image.hasValue());
+  auto Reader = elf::ELFReader::parse(*Image);
+  ASSERT_TRUE(Reader.hasValue());
+  uint64_t StackPage = (PB->Meta.StackTop - 1) & ~(vm::GuestPageSize - 1);
+  bool StackLoaded = false;
+  for (const auto &Sec : Reader->sections())
+    if (Sec.Addr <= StackPage && StackPage < Sec.Addr + Sec.Size) {
+      StackLoaded = true;
+      EXPECT_NE(Script.find(formatString(" %s 0x%llx :", Sec.Name.c_str(),
+                                         static_cast<unsigned long long>(
+                                             Sec.Addr))),
+                std::string::npos)
+          << Sec.Name << "\n"
+          << Script;
+    }
+  EXPECT_TRUE(StackLoaded) << Script;
   removeTree(Dir);
 }
 

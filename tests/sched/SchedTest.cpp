@@ -281,6 +281,7 @@ TEST(Backoff, CapBoundsLateAttemptsAndHugeBases) {
 TEST(Journal, RecordRoundTrip) {
   JournalRecord Rec = {{"rec", "exit"},
                        {"job", "weird \"id\"\twith\nescapes"},
+                       {"class", "cr\r back\\slash \x01 \x1f"},
                        {"attempt", "3"},
                        {"code", "-1"},
                        {"detail", "timeout"}};

@@ -31,6 +31,12 @@ TEST(Format, SplitString) {
   EXPECT_EQ(splitString("", ',').size(), 1u);
 }
 
+TEST(Format, Tokenize) {
+  EXPECT_EQ(tokenize(" \ta  b\t\tc "),
+            (std::vector<std::string>{"a", "b", "c"}));
+  EXPECT_TRUE(tokenize(" \t ").empty());
+}
+
 TEST(Format, TrimString) {
   EXPECT_EQ(trimString("  hi \t"), "hi");
   EXPECT_EQ(trimString(""), "");

@@ -342,6 +342,23 @@ loop:
   EXPECT_EQ(R.ExitCode, 0) << R.Output;
   EXPECT_NE(R.Output.find("\"failures\":0"), std::string::npos)
       << R.Output;
+
+  // A path with JSON metacharacters reaches the report escaped.
+  std::string Quoted = Dir + "/q\"d\\x";
+  ASSERT_FALSE(createDirectories(Quoted).isError());
+  R = runTool(formatString("elogger -region:start 5000 -region:length "
+                           "20000 -log:fat 1 -o '%s/pb' %s/p.elf",
+                           Quoted.c_str(), Dir.c_str()));
+  ASSERT_EQ(R.ExitCode, 0) << R.Output;
+  R = runTool(formatString("efault -runs 2 -seed 1 -json -scratch "
+                           "%s/scratch '%s/pb'",
+                           Dir.c_str(), Quoted.c_str()));
+  EXPECT_EQ(R.ExitCode, 0) << R.Output;
+  EXPECT_NE(R.Output.find("{\"artifact\":\"" + Dir + "/q\\\"d\\\\x/pb\","),
+            std::string::npos)
+      << R.Output;
+  EXPECT_NE(R.Output.find("\"failures\":0"), std::string::npos)
+      << R.Output;
 }
 
 /// Extracts the line of \p Out containing \p Key ("" when absent).
