@@ -23,14 +23,12 @@
 #include "simpoint/PinPoints.h"
 #include "support/FileIO.h"
 #include "support/Format.h"
+#include "support/Subprocess.h"
 #include "vm/VM.h"
 #include "workloads/Workloads.h"
 
 #include <cstdio>
 #include <memory>
-#include <fcntl.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 namespace elfie {
 namespace bench {
@@ -105,41 +103,28 @@ struct NativeMeasurement {
   std::string Error;
 };
 
-/// Runs \p ElfiePath as a subprocess and parses the perfle lines.
+/// Runs \p ElfiePath as a subprocess (killed after 60 s) and parses the
+/// perfle lines it writes to stderr.
 inline NativeMeasurement runNativeElfie(const std::string &ElfiePath,
                                         const std::string &Cwd = "") {
   NativeMeasurement M;
-  int Pipe[2];
-  if (pipe(Pipe) != 0) {
-    M.Error = "pipe failed";
-    return M;
-  }
-  pid_t Pid = fork();
-  if (Pid == 0) {
-    dup2(Pipe[1], 2);
-    close(Pipe[0]);
-    close(Pipe[1]);
-    int Null = open("/dev/null", O_WRONLY);
-    dup2(Null, 1);
-    if (!Cwd.empty() && chdir(Cwd.c_str()) != 0)
-      _exit(126);
-    alarm(60);
-    char *const Argv[] = {const_cast<char *>(ElfiePath.c_str()), nullptr};
-    execv(ElfiePath.c_str(), Argv);
-    _exit(125);
-  }
-  close(Pipe[1]);
-  std::string Err;
-  char Buf[4096];
-  ssize_t N;
-  while ((N = read(Pipe[0], Buf, sizeof(Buf))) > 0)
-    Err.append(Buf, static_cast<size_t>(N));
-  close(Pipe[0]);
-  int Status = 0;
-  waitpid(Pid, &Status, 0);
-  if (!WIFEXITED(Status) || WEXITSTATUS(Status) != 0) {
-    M.Error = formatString("elfie run failed (status %d): %s", Status,
-                           Err.c_str());
+  SpawnSpec Spec;
+  Spec.Argv = {ElfiePath};
+  Spec.StdoutPath = "/dev/null";
+  Spec.StderrPath = ElfiePath + ".perfle";
+  Spec.WorkDir = Cwd;
+  bool TimedOut = false;
+  Expected<pid_t> Pid = spawnProcess(Spec);
+  Expected<WaitResult> W = Pid ? waitProcessFor(*Pid, 60000, TimedOut)
+                               : Expected<WaitResult>(Pid.takeError());
+  Expected<std::string> ErrText = readFileText(Spec.StderrPath);
+  std::string Err = ErrText ? *ErrText : "";
+  if (!W || !W->Exited || W->ExitCode != 0) {
+    std::string Why = !W          ? W.message()
+                      : TimedOut  ? std::string("timed out")
+                      : W->Exited ? formatString("exit %d", W->ExitCode)
+                                  : formatString("signal %d", W->Signal);
+    M.Error = "elfie run failed (" + Why + "): " + Err;
     return M;
   }
   for (const std::string &Line : splitString(Err, '\n')) {

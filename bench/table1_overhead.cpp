@@ -25,6 +25,8 @@
 #include <chrono>
 #include <cstdio>
 #include <malloc.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 using namespace elfie;
 using namespace elfie::bench;

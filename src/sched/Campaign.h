@@ -47,7 +47,7 @@ enum class Action {
   Emit,   ///< pinball2elf -verify -o <out>/artifacts/<id>.elfie <pinball>
   Native, ///< run <target> directly (an emitted native ELFie)
   Verify, ///< everify <target ELFie>
-  Sim,    ///< esim -config nehalem [-pinball] <target>
+  Sim,    ///< esim -config nehalem <target> (a directory is a pinball)
 };
 
 /// Parses an action name; errors carry EFAULT.FLEET.ACTION.

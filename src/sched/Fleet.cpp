@@ -121,17 +121,10 @@ std::vector<std::string> FleetEngine::buildArgv(const JobState &JS) const {
   }
   for (const std::string &A : J.ExtraArgs)
     Argv.push_back(expandPlaceholders(A, JS.Attempt));
-  switch (J.A) {
-  case Action::Native:
-    break; // target IS the program, already argv[0]
-  case Action::Sim:
-    if (isDirectory(J.Target))
-      Argv.push_back("-pinball");
+  // A native target IS the program, already argv[0]; esim tells a pinball
+  // directory from a program by itself.
+  if (J.A != Action::Native)
     Argv.push_back(J.Target);
-    break;
-  default:
-    Argv.push_back(J.Target);
-  }
   return Argv;
 }
 

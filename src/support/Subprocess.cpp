@@ -146,6 +146,23 @@ Expected<WaitResult> elfie::waitProcess(pid_t Pid) {
   }
 }
 
+Expected<WaitResult> elfie::waitProcessFor(pid_t Pid, uint64_t TimeoutMs,
+                                           bool &TimedOut) {
+  TimedOut = false;
+  const uint64_t Deadline = monotonicMillis() + TimeoutMs;
+  for (;;) {
+    Expected<WaitResult> W = pollProcess(Pid);
+    if (!W || !W->Running)
+      return W;
+    if (monotonicMillis() >= Deadline) {
+      TimedOut = true;
+      killProcessTree(Pid, SIGKILL);
+      return waitProcess(Pid);
+    }
+    ::usleep(10000);
+  }
+}
+
 void elfie::killProcessTree(pid_t Pid, int Sig) {
   if (Pid <= 0)
     return;

@@ -18,6 +18,7 @@
 
 #include "support/Error.h"
 
+#include <cstdint>
 #include <string>
 #include <sys/types.h>
 #include <utility>
@@ -72,6 +73,11 @@ Expected<WaitResult> pollProcess(pid_t Pid);
 
 /// Blocking waitpid.
 Expected<WaitResult> waitProcess(pid_t Pid);
+
+/// Blocking waitpid bounded by \p TimeoutMs: past it the child's process
+/// tree is SIGKILLed and reaped, and \p TimedOut is set.
+Expected<WaitResult> waitProcessFor(pid_t Pid, uint64_t TimeoutMs,
+                                    bool &TimedOut);
 
 /// Sends \p Sig to the child's process group (falling back to the single
 /// process when it leads no group). Safe to call on already-dead children.

@@ -24,13 +24,10 @@
 #include "support/MappedFile.h"
 #include "support/Subprocess.h"
 
-#include <fcntl.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cctype>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -43,76 +40,34 @@ struct RunOutcome {
   bool Signaled = false;
   int Sig = 0;
   bool TimedOut = false;
-  std::string Output; // stdout + stderr, interleaved
+  std::string Output; // stdout, then stderr
 };
 
-/// Runs \p Argv with a hard timeout, capturing combined output. The child
-/// is SIGKILLed on timeout — a hung consumer is itself the bug we are
-/// hunting, so there is no graceful grace period.
+/// Runs \p Argv with a hard timeout, its stdout and stderr redirected to
+/// files under \p Scratch. The child is SIGKILLed on timeout — a hung
+/// consumer is itself the bug we are hunting, so there is no graceful
+/// grace period. An exec failure exits ExitExecFailure (124).
 RunOutcome runConsumer(const std::vector<std::string> &Argv,
-                       unsigned TimeoutMs) {
+                       const std::string &Scratch, unsigned TimeoutMs) {
   RunOutcome R;
-  int Pipe[2];
-  if (::pipe(Pipe) != 0)
+  SpawnSpec Spec;
+  Spec.Argv = Argv;
+  Spec.StdoutPath = Scratch + "/consumer.out";
+  Spec.StderrPath = Scratch + "/consumer.err";
+  Expected<pid_t> Pid = spawnProcess(Spec);
+  if (!Pid) {
+    R.Output = Pid.message();
     return R;
-  pid_t Pid = ::fork();
-  if (Pid < 0) {
-    ::close(Pipe[0]);
-    ::close(Pipe[1]);
-    return R;
   }
-  if (Pid == 0) {
-    ::close(Pipe[0]);
-    ::dup2(Pipe[1], 1);
-    ::dup2(Pipe[1], 2);
-    ::close(Pipe[1]);
-    std::vector<char *> Args;
-    for (const std::string &A : Argv)
-      Args.push_back(const_cast<char *>(A.c_str()));
-    Args.push_back(nullptr);
-    ::execv(Args[0], Args.data());
-    std::fprintf(stderr, "efault: exec %s: %s\n", Args[0],
-                 std::strerror(errno));
-    ::_exit(124);
-  }
-  ::close(Pipe[1]);
-  ::fcntl(Pipe[0], F_SETFL, O_NONBLOCK);
-  unsigned ElapsedMs = 0;
-  bool Exited = false;
-  int Status = 0;
-  for (;;) {
-    char Buf[4096];
-    ssize_t N;
-    while ((N = ::read(Pipe[0], Buf, sizeof(Buf))) > 0)
-      R.Output.append(Buf, static_cast<size_t>(N));
-    if (!Exited) {
-      pid_t W = ::waitpid(Pid, &Status, WNOHANG);
-      if (W == Pid) {
-        Exited = true;
-        continue; // drain whatever remains in the pipe once more
-      }
-      if (ElapsedMs >= TimeoutMs) {
-        R.TimedOut = true;
-        ::kill(Pid, SIGKILL);
-        ::waitpid(Pid, &Status, 0);
-        Exited = true;
-        continue;
-      }
-      ::usleep(10000);
-      ElapsedMs += 10;
-      continue;
-    }
-    if (N == 0 || (N < 0 && errno != EAGAIN && errno != EINTR))
-      break;
-    if (N < 0)
-      ::usleep(1000);
-  }
-  ::close(Pipe[0]);
-  if (WIFEXITED(Status))
-    R.ExitCode = WEXITSTATUS(Status);
-  else if (WIFSIGNALED(Status)) {
+  Expected<WaitResult> W = waitProcessFor(*Pid, TimeoutMs, R.TimedOut);
+  for (const std::string *Path : {&Spec.StdoutPath, &Spec.StderrPath})
+    if (Expected<std::string> Text = readFileText(*Path))
+      R.Output += *Text;
+  if (W && W->Exited)
+    R.ExitCode = W->ExitCode;
+  else if (W && !R.TimedOut) {
     R.Signaled = true;
-    R.Sig = WTERMSIG(Status);
+    R.Sig = W->Signal;
   }
   return R;
 }
@@ -284,7 +239,7 @@ int main(int Argc, char **Argv) {
       Consumers.push_back({BinDir + "/pinball2elf", "-verify", "-o",
                            Scratch + "/x.elfie", Mutated});
       Consumers.push_back({BinDir + "/esim", "-config", "nehalem",
-                           "-maxinsns", "500000", "-pinball", Mutated});
+                           "-maxinsns", "500000", Mutated});
     } else if (IsSimState) {
       // Both consumers of a warmup checkpoint must reject the mutation:
       // the simulator's resume path and the static verifier's SIMSTATE
@@ -305,7 +260,7 @@ int main(int Argc, char **Argv) {
 
     for (const auto &Cmd : Consumers) {
       ++Invocations;
-      RunOutcome O = runConsumer(Cmd, TimeoutMs);
+      RunOutcome O = runConsumer(Cmd, Scratch, TimeoutMs);
       std::string Name = Cmd[0].substr(Cmd[0].rfind('/') + 1);
       if (CL.getFlag("verbose"))
         std::fprintf(stderr, "efault: seed %llu [%s] %s -> exit %d\n",

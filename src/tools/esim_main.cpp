@@ -8,6 +8,7 @@
 #include "sim/Frontend.h"
 #include "sim/SimState.h"
 #include "support/CommandLine.h"
+#include "support/FileIO.h"
 
 #include <cstdio>
 
@@ -20,9 +21,9 @@ int main(int Argc, char **Argv) {
   CL.addString("config", "nehalem",
                "machine: gainestown8 | nehalem | haswell | skylake | "
                "skylake-fs");
-  CL.addFlag("pinball", false, "treat the input as a pinball directory");
   CL.addFlag("constrained", true,
-             "pinball mode: enforce the recorded schedule + injection");
+             "pinball (directory) input: enforce the recorded schedule + "
+             "injection");
   CL.addInt("maxinsns", -1, "ROI instruction budget");
   CL.addString("fsroot", ".", "guest filesystem root");
   CL.addFlag("jit", false,
@@ -75,7 +76,8 @@ int main(int Argc, char **Argv) {
   vm::VMConfig VMC;
   VMC.FsRoot = CL.getString("fsroot");
   VMC.EnableJit = CL.getFlag("jit");
-  if (CL.getFlag("pinball")) {
+  // A directory input is a pinball; anything else is a program or ELFie.
+  if (isDirectory(CL.positional()[0])) {
     pinball::Pinball PB =
         exitOnError(pinball::Pinball::load(CL.positional()[0]));
     R = sim::simulatePinball(PB, Machine, CL.getFlag("constrained"),

@@ -302,105 +302,58 @@ RunResult VM::run(uint64_t MaxInstructions) {
   RunResult R;
   StopRequested = false;
   uint64_t Budget = MaxInstructions;
-  const bool JitOn = jitActive();
-  // Hot-loop state: the current thread is looked up only on reschedule
-  // (std::map nodes are stable across clone-driven insertions).
+  const uint64_t Quantum = std::max<uint64_t>(Config.Quantum, 1);
+  // The current thread is looked up only on reschedule (std::map nodes are
+  // stable across clone-driven insertions).
   ThreadState *Cur = nullptr;
-  auto Done = [&](StopReason Reason) {
-    R.Reason = Reason;
-    R.CacheStats = DC.stats();
-    R.MemoryStats = Mem.memStats();
-    R.Jit = jitStats();
-    return R;
-  };
-
+  StopReason Reason = StopReason::BudgetReached;
   while (Budget > 0) {
     if (GroupExited || LiveCount == 0) {
-      R.ExitCode = GroupExitCode;
-      return Done(StopReason::AllExited);
+      Reason = StopReason::AllExited;
+      break;
     }
     if (!Cur || Cur->Exited || QuantumLeft == 0) {
       uint32_t CurTid = pickNextThread();
       if (CurTid == UINT32_MAX) {
-        R.ExitCode = GroupExitCode;
-        return Done(StopReason::AllExited);
+        Reason = StopReason::AllExited;
+        break;
       }
       Cur = &Threads.at(CurTid);
     }
-    if (JitOn) {
-      // Native dispatch only from a block boundary; mid-block (the cursor
-      // fast path below would hit) the interpreter finishes the block.
-      bool MidBlock = Cur->CurBlock && Cur->CurGen == DC.generation() &&
-                      Cur->CurIdx + 1 < Cur->CurBlock->Insts.size() &&
-                      Cur->PC == Cur->CurBlock->pcAt(Cur->CurIdx + 1);
-      if (!MidBlock) {
-        // A single unseeded thread may ignore quantum boundaries (they
-        // are unobservable and draw no schedule randomness); otherwise
-        // the dispatch is capped at the quantum so the interleaving — and
-        // the seeded RNG draw sequence — matches interpretation exactly.
-        uint64_t Quota = (LiveCount == 1 && !Config.ScheduleSeed)
-                             ? Budget
-                             : std::min(Budget, QuantumLeft);
-        uint64_t Exec = 0;
-        if (jitDispatch(*Cur, Quota, Exec)) {
-          Budget -= Exec;
-          QuantumLeft -= std::min(Exec, QuantumLeft);
-          if (StopRequested)
-            return Done(StopReason::Stopped);
-          if (Exec > 0)
-            continue;
-          // Exec == 0 (a memory-retry on the first instruction): fall
-          // through and interpret one step so the canonical fault fires.
-        }
-      }
-    }
-    StepStatus S = stepOne(*Cur);
-    switch (S) {
-    case StepStatus::Ok:
+    // A sole unseeded thread runs on across quantum boundaries: they are
+    // unobservable and draw no schedule randomness, so only the quantum's
+    // phase is carried forward. Otherwise the batch ends at the quantum.
+    // Either way the interleaving (and the seeded RNG draw sequence) is
+    // that of one-instruction-at-a-time execution.
+    const bool Sole = LiveCount == 1 && !Config.ScheduleSeed;
+    BatchResult B =
+        runBatch(*Cur, Sole ? Budget : std::min(Budget, QuantumLeft));
+    Budget -= B.Executed;
+    if (B.Yielded)
+      QuantumLeft = 0;
+    else if (B.Executed <= QuantumLeft)
+      QuantumLeft -= B.Executed;
+    else // a sole thread re-picked itself every Quantum instructions
+      QuantumLeft = (Quantum - (B.Executed - QuantumLeft) % Quantum) % Quantum;
+    if (B.Reason != StopReason::BudgetReached) {
+      Reason = B.Reason;
       break;
-    case StepStatus::Exited:
-      break; // next loop iteration reschedules
-    case StepStatus::Halted:
-      R.ExitCode = GroupExitCode;
-      return Done(StopReason::Halted);
-    case StepStatus::Faulted:
-      R.FaultInfo = LastFault;
-      return Done(StopReason::Faulted);
-    case StepStatus::Stopped:
-      return Done(StopReason::Stopped);
     }
-    --Budget;
-    if (QuantumLeft > 0)
-      --QuantumLeft;
-    if (StopRequested)
-      return Done(StopReason::Stopped);
   }
-  return Done(StopReason::BudgetReached);
+  R.Reason = Reason;
+  if (Reason == StopReason::Faulted)
+    R.FaultInfo = LastFault;
+  if (Reason == StopReason::AllExited || Reason == StopReason::Halted)
+    R.ExitCode = GroupExitCode;
+  R.CacheStats = DC.stats();
+  R.MemoryStats = Mem.memStats();
+  R.Jit = jitStats();
+  return R;
 }
 
 StopReason VM::stepThread(uint32_t Tid) {
-  auto It = Threads.find(Tid);
-  assert(It != Threads.end() && "stepping unknown thread");
-  ThreadState &T = It->second;
-  assert(!T.Exited && "stepping an exited thread");
-  StopRequested = false;
-  StepStatus S = stepOne(T);
-  if (StopRequested && S == StepStatus::Ok)
-    return StopReason::Stopped;
-  switch (S) {
-  case StepStatus::Ok:
-    return StopReason::BudgetReached;
-  case StepStatus::Exited:
-    return (GroupExited || liveThreadCount() == 0) ? StopReason::AllExited
-                                                   : StopReason::BudgetReached;
-  case StepStatus::Halted:
-    return StopReason::Halted;
-  case StepStatus::Faulted:
-    return StopReason::Faulted;
-  case StepStatus::Stopped:
-    return StopReason::Stopped;
-  }
-  elfieUnreachable("bad step status");
+  assert(thread(Tid) && !thread(Tid)->Exited && "stepping an exited thread");
+  return runThread(Tid, 1).Reason;
 }
 
 VM::ThreadRunResult VM::runThread(uint32_t Tid, uint64_t MaxInstructions) {
@@ -409,62 +362,52 @@ VM::ThreadRunResult VM::runThread(uint32_t Tid, uint64_t MaxInstructions) {
   assert(It != Threads.end() && "running unknown thread");
   ThreadState &T = It->second;
   StopRequested = false;
-  const bool JitOn = jitActive();
-  uint64_t Budget = MaxInstructions;
-  while (Budget > 0) {
-    if (T.Exited) {
-      R.Reason = (GroupExited || LiveCount == 0) ? StopReason::AllExited
-                                                 : StopReason::BudgetReached;
-      return R;
-    }
-    if (JitOn) {
-      bool MidBlock = T.CurBlock && T.CurGen == DC.generation() &&
-                      T.CurIdx + 1 < T.CurBlock->Insts.size() &&
-                      T.PC == T.CurBlock->pcAt(T.CurIdx + 1);
-      if (!MidBlock) {
-        // The caller owns the interleaving, so the whole remaining budget
-        // is the dispatch quota — no scheduler quantum applies here.
-        uint64_t Exec = 0;
-        if (jitDispatch(T, Budget, Exec)) {
-          Budget -= Exec;
-          R.Executed += Exec;
-          if (StopRequested) {
-            R.Reason = StopReason::Stopped;
-            return R;
-          }
-          if (Exec > 0)
-            continue;
-        }
-      }
-    }
-    StepStatus S = stepOne(T);
-    switch (S) {
-    case StepStatus::Ok:
-      ++R.Executed;
-      --Budget;
-      break;
-    case StepStatus::Exited:
-      ++R.Executed; // the exiting syscall retired
-      R.Reason = (GroupExited || LiveCount == 0) ? StopReason::AllExited
-                                                 : StopReason::BudgetReached;
-      return R;
-    case StepStatus::Halted:
-      ++R.Executed;
-      R.Reason = StopReason::Halted;
-      return R;
-    case StepStatus::Faulted:
-      R.Reason = StopReason::Faulted;
-      return R;
-    case StepStatus::Stopped:
-      R.Reason = StopReason::Stopped;
-      return R;
-    }
-    if (StopRequested) {
-      R.Reason = StopReason::Stopped;
+  while (R.Executed < MaxInstructions && !T.Exited) {
+    BatchResult B = runBatch(T, MaxInstructions - R.Executed);
+    R.Executed += B.Executed;
+    if (B.Reason != StopReason::BudgetReached) {
+      R.Reason = B.Reason;
       return R;
     }
   }
-  R.Reason = StopReason::BudgetReached;
+  if (T.Exited && (GroupExited || LiveCount == 0))
+    R.Reason = StopReason::AllExited;
+  return R;
+}
+
+VM::BatchResult VM::runBatch(ThreadState &T, uint64_t MaxInstructions) {
+  BatchResult R;
+  const bool JitOn = jitActive();
+  // Native dispatch only from a block boundary; mid-block (the cursor fast
+  // path in cachedInst would hit) the interpreter finishes the block.
+  auto MidBlock = [&] {
+    return T.CurBlock && T.CurGen == DC.generation() &&
+           T.CurIdx + 1 < T.CurBlock->Insts.size() &&
+           T.PC == T.CurBlock->pcAt(T.CurIdx + 1);
+  };
+  while (R.Executed < MaxInstructions) {
+    StepStatus S = StepStatus::Ok;
+    uint64_t Exec = 0;
+    // A dispatch that retired nothing (a memory-retry on the first
+    // instruction) falls through to one interpreted step, so the canonical
+    // fault fires.
+    if (JitOn && !MidBlock() &&
+        jitDispatch(T, MaxInstructions - R.Executed, Exec) && Exec > 0)
+      R.Executed += Exec;
+    else if ((S = stepOne(T)) != StepStatus::Faulted)
+      ++R.Executed;
+    if (S == StepStatus::Ok && !StopRequested)
+      continue;
+    // The one mapping from how a step ended to why the batch ends.
+    if (S == StepStatus::Faulted)
+      R.Reason = StopReason::Faulted;
+    else if (S == StepStatus::Halted)
+      R.Reason = StopReason::Halted;
+    else if (StopRequested)
+      R.Reason = StopReason::Stopped;
+    R.Yielded = S == StepStatus::Yielded;
+    return R;
+  }
   return R;
 }
 
@@ -693,11 +636,10 @@ VM::StepStatus VM::execDecoded(ThreadState &T, const Inst I) {
     Retire(NextPC);
     return StepStatus::Ok;
   case Opcode::Pause:
-    // Spin hint: retire and end the quantum so other threads can make
-    // progress through the lock/barrier this thread is spinning on.
+    // Spin hint: retire and yield so other threads can make progress
+    // through the lock/barrier this thread is spinning on.
     Retire(NextPC);
-    QuantumLeft = 0;
-    return StepStatus::Ok;
+    return StepStatus::Yielded;
   case Opcode::Halt:
     Retire(NextPC);
     Transfer(NextPC, false);
@@ -1108,15 +1050,14 @@ VM::StepStatus VM::doSyscall(ThreadState &T) {
     if (Obs)
       Obs->onThreadCreate(T.Tid, ChildTid);
     Finish(ChildTid);
-    return StepStatus::Ok;
+    return StepStatus::Spawned;
   }
   case isa::Sys::GetTid:
     Finish(T.Tid);
     return StepStatus::Ok;
   case isa::Sys::Yield:
-    QuantumLeft = 0;
     Finish(0);
-    return StepStatus::Ok;
+    return StepStatus::Yielded;
   case isa::Sys::MmapAnon:
     Finish(sysMmapAnon(Args[0], Args[1]));
     return StepStatus::Ok;

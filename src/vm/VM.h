@@ -192,19 +192,21 @@ public:
   /// replayer and by tests). Returns the tid.
   uint32_t spawnThread(const ThreadState &Initial);
 
-  /// Runs until all threads exit, a fault, a halt, a stop request, or until
-  /// \p MaxInstructions have retired (across all threads).
+  /// Round-robin schedules the live threads, one quantum each, until all
+  /// threads exit, a fault, a halt, a stop request, or until
+  /// \p MaxInstructions have retired (across all threads). The
+  /// interleaving is the same with and without EnableJit.
   RunResult run(uint64_t MaxInstructions = UINT64_MAX);
 
-  /// Executes exactly one instruction on \p Tid (replayer schedule control).
-  /// Returns the observed stop condition; StopReason::BudgetReached means
-  /// "stepped fine, more to run".
+  /// Executes exactly one instruction on \p Tid (replayer schedule control):
+  /// runThread(Tid, 1).Reason.
   StopReason stepThread(uint32_t Tid);
 
-  /// Batched stepThread: runs \p Tid alone for up to \p MaxInstructions
-  /// retired instructions (the caller owns the interleaving — the
-  /// scheduler quantum does not apply). Executed reports the instructions
-  /// actually retired; BudgetReached means "ran fine, more to run". With
+  /// Runs \p Tid alone for up to \p MaxInstructions retired instructions
+  /// (the caller owns the interleaving — the scheduler quantum does not
+  /// apply, and yields and thread creation do not end the run). Executed
+  /// reports the instructions actually retired; BudgetReached means "ran
+  /// fine, more to run" (or \p Tid exited while other threads live). With
   /// EnableJit this is the replayer's native-dispatch fast path.
   struct ThreadRunResult {
     StopReason Reason = StopReason::BudgetReached;
@@ -271,8 +273,21 @@ public:
   JitStats jitStats() const;
 
 private:
-  enum class StepStatus { Ok, Exited, Halted, Faulted, Stopped };
+  /// How one interpreted step ended. Yielded (pause, the yield syscall)
+  /// and Spawned (clone) retired normally; they are the points where the
+  /// scheduler may switch threads. Only Faulted retires nothing.
+  enum class StepStatus { Ok, Yielded, Spawned, Exited, Halted, Faulted };
   StepStatus stepOne(ThreadState &T);
+  /// The one execution loop behind run(), runThread() and stepThread():
+  /// \p T runs alone for up to \p MaxInstructions, by compiled dispatch at
+  /// block boundaries and stepOne() otherwise. The batch also ends, with
+  /// BudgetReached, when \p T exits, yields or creates a thread; Yielded
+  /// tells the scheduler to end the quantum. Halted, Faulted and Stopped
+  /// end it with that reason.
+  struct BatchResult : ThreadRunResult {
+    bool Yielded = false;
+  };
+  BatchResult runBatch(ThreadState &T, uint64_t MaxInstructions);
   /// JIT plumbing (all defined in VM.cpp; JitRuntime bundles the code
   /// cache, the execution context, and the software TLBs).
   struct JitRuntime;
@@ -333,7 +348,7 @@ private:
   uint32_t NextTid = 0;
   unsigned LiveCount = 0;
 
-  // Scheduler state.
+  // Scheduler state, written only by pickNextThread() and run().
   size_t RRIndex = 0;          // index into CreationOrder
   uint64_t QuantumLeft = 0;
   RNG SchedRNG;

@@ -160,13 +160,22 @@ buf:  .space 8
 /// An 8-thread program with spin-wait synchronization (active-wait OpenMP
 /// style, paper §IV-B): the main thread spawns 7 workers; all threads
 /// amoadd into per-thread counters and meet at a spin barrier each round.
+/// A nonzero \p SoloWork first runs that many loop iterations on the main
+/// thread alone, before the first clone.
 inline std::string multiThreadProgram(int Threads = 8, int Rounds = 4,
-                                      int WorkPerRound = 2000) {
+                                      int WorkPerRound = 2000,
+                                      int SoloWork = 0) {
+  std::string Solo = SoloWork == 0 ? "" : R"(
+  ldi  r12, )" + std::to_string(SoloWork) + R"(
+solo:
+  addi r12, r12, -1
+  bnez r12, solo
+)";
   std::string S = R"(
   .equ NTHREADS, )" + std::to_string(Threads) + R"(
   .equ ROUNDS, )" + std::to_string(Rounds) + R"(
   .equ WORK, )" + std::to_string(WorkPerRound) + R"(
-_start:
+_start:)" + Solo + R"(
   ldi  r9, 1               # next thread index
 spawn:
   ldi  r7, 9               # clone(entry=worker, stack, arg=index)

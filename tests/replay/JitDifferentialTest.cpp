@@ -14,6 +14,9 @@
 /// compiled blocks' exit paths account retirement exactly — not just that
 /// final results agree.
 ///
+/// Two of the suite's 8-thread workloads run the same lockstep, so the
+/// schedule quantum is held exact across compiled dispatch too.
+///
 /// The replay-level half captures pinballs and replays them constrained
 /// and injection-less with the JIT on and off, pinning the batched
 /// runThread() schedule-slice path against the reference.
@@ -24,6 +27,7 @@
 
 #include "../common/TestHelpers.h"
 #include "pinball/Logger.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
@@ -112,7 +116,7 @@ void lockstep(const std::string &Src, vm::VMConfig Base, uint64_t Chunk,
     ASSERT_EQ(RI.Reason, RJ.Reason) << "round " << Round;
     ASSERT_EQ(MI->globalRetired(), MJ->globalRetired())
         << "round " << Round;
-    compareThreads(*MI, *MJ, Round);
+    ASSERT_NO_FATAL_FAILURE(compareThreads(*MI, *MJ, Round));
     if (Round % 8 == 0) {
       ASSERT_EQ(memDigest(*MI), memDigest(*MJ)) << "round " << Round;
     }
@@ -152,6 +156,22 @@ TEST(JitDifferential, MultiThreadedSeededScheduleLockstep) {
   vm::VMConfig Base;
   Base.ScheduleSeed = 0xC0FFEE;
   lockstep(multiThreadProgram(4, 2, 300), Base, 1009);
+}
+
+/// A multi-threaded workload of the suite, unseeded: its main thread runs
+/// hot code alone before it clones, so compiled dispatch must leave the
+/// scheduler quantum in the phase interpretation leaves it in, or the
+/// threads interleave differently from the first clone on.
+void workloadLockstep(const char *Name) {
+  auto Src = workloads::generateSource(Name, workloads::InputSet::Test);
+  ASSERT_TRUE(Src.hasValue()) << Src.message();
+  lockstep(*Src, vm::VMConfig(), 10007);
+}
+
+TEST(JitDifferential, NabWorkloadLockstep) { workloadLockstep("nab_s_like"); }
+
+TEST(JitDifferential, ImagickWorkloadLockstep) {
+  workloadLockstep("imagick_s_like");
 }
 
 TEST(JitDifferential, ClockProgramLockstep) {

@@ -138,4 +138,29 @@ TEST(Subprocess, KillProcessTreeTakesOutChildren) {
   EXPECT_EQ(W->Signal, SIGKILL);
 }
 
+TEST(Subprocess, WaitProcessForKillsAtTheDeadline) {
+  SpawnSpec Spec;
+  Spec.Argv = {"/bin/sh", "-c", "sleep 30"};
+  auto Pid = spawnProcess(Spec);
+  ASSERT_TRUE(Pid.hasValue()) << Pid.message();
+  bool TimedOut = false;
+  uint64_t T0 = monotonicMillis();
+  auto W = waitProcessFor(*Pid, 100, TimedOut);
+  ASSERT_TRUE(W.hasValue()) << W.message();
+  EXPECT_TRUE(TimedOut);
+  EXPECT_FALSE(W->Exited);
+  EXPECT_EQ(W->Signal, SIGKILL);
+  EXPECT_LT(monotonicMillis() - T0, 10000u);
+
+  // A child that finishes in time is reaped normally.
+  Spec.Argv = {"/bin/sh", "-c", "exit 3"};
+  Pid = spawnProcess(Spec);
+  ASSERT_TRUE(Pid.hasValue()) << Pid.message();
+  W = waitProcessFor(*Pid, 10000, TimedOut);
+  ASSERT_TRUE(W.hasValue()) << W.message();
+  EXPECT_FALSE(TimedOut);
+  EXPECT_TRUE(W->Exited);
+  EXPECT_EQ(W->ExitCode, 3);
+}
+
 } // namespace

@@ -222,9 +222,8 @@ msg: .ascii "ok\n"
   EXPECT_NE(R.Output.find("recognized as an ELFie"), std::string::npos);
   EXPECT_NE(R.Output.find("IPC"), std::string::npos);
 
-  // esim pinball front-end.
-  R = runTool(formatString("esim -config nehalem -pinball %s/r.pb",
-                           Dir.c_str()));
+  // esim pinball front-end: a directory input is a pinball.
+  R = runTool(formatString("esim -config nehalem %s/r.pb", Dir.c_str()));
   ASSERT_EQ(R.ExitCode, 0) << R.Output;
 
   // esimpoint region selection on the original program.

@@ -101,14 +101,23 @@ TEST(Jit, HotLoopMatchesInterpreterAndPopulatesStats) {
 }
 
 TEST(Jit, MultiThreadedInterleavingIdentical) {
+  // Equal totals are not enough: the per-thread split shows whether the
+  // threads were interleaved the same way (spin-waits retire more or less
+  // depending on who runs when). The main thread first runs a hot loop
+  // alone, so its quantum must be in the interpreter's phase at the first
+  // clone.
   for (uint64_t Seed : {0ull, 12345ull}) {
     auto Run = [&](bool EnableJit) {
       VMConfig C = jitConfig(EnableJit);
       C.ScheduleSeed = Seed;
       auto Out = std::make_shared<std::string>();
-      auto M = makeVM(multiThreadProgram(4, 2, 300), Out, C);
+      auto M = makeVM(multiThreadProgram(4, 2, 300, 1025), Out, C);
       RunResult R = M->run();
-      return std::tuple(R.Reason, M->globalRetired(), *Out);
+      std::vector<std::tuple<uint32_t, uint64_t, uint64_t>> PerThread;
+      for (uint32_t Tid : M->threadIds())
+        PerThread.emplace_back(Tid, M->thread(Tid)->Retired,
+                               M->thread(Tid)->PC);
+      return std::tuple(R.Reason, M->globalRetired(), *Out, PerThread);
     };
     EXPECT_EQ(Run(true), Run(false)) << "seed " << Seed;
   }
