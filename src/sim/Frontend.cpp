@@ -15,6 +15,7 @@
 #include "support/Sha256.h"
 
 #include <functional>
+#include <optional>
 
 using namespace elfie;
 using namespace elfie::sim;
@@ -37,29 +38,106 @@ namespace {
 /// is bit-identical to the pre-checkpoint front-end.
 enum class Phase { FastForward, Warming, Skipping, Detailed };
 
-/// Feeds VM events into the TimingModel through the phase machine.
-class SimObserver : public vm::Observer {
+/// One simulation: the set-up, phase machine and result path both
+/// front-ends share. A front-end constructs it, calls setUp() once its
+/// input is known, start()s it on whatever drives execution — the VM in
+/// binary mode, the replayer in pinball mode — and returns finish(). Only
+/// how execution is driven differs between the front-ends.
+class Simulation : public vm::Observer {
 public:
-  SimObserver(TimingModel &Model, const RunControls &Controls,
-              unsigned NumCores, Phase Initial, Phase PostMarker,
-              uint64_t WarmupBudget)
-      : Model(Model), Controls(Controls), NumCores(NumCores), Ph(Initial),
-        PostMarker(PostMarker), WarmupBudget(WarmupBudget) {}
+  Simulation(const MachineConfig &Machine, RunControls RC)
+      : Controls(std::move(RC)), Model(Machine), Machine(Machine) {}
 
-  /// Runs once at the warming -> detailed boundary (save/load hook).
-  std::function<Error()> OnBoundary;
-  /// Stops the underlying engine; null when the replayer owns the budget.
-  std::function<void()> RequestStop;
-  /// Global retired-count provider (the VM's counter in binary mode);
-  /// replay mode falls back to the observer's own event count.
-  std::function<uint64_t()> GlobalRetired;
+  RunControls Controls;
+  TimingModel Model;
+  /// The warming length; a single-core binary resume zeroes it (and
+  /// LoadMode) once it has skipped the warming stretch itself.
+  uint64_t Warmup = 0;
+  bool LoadMode = !Controls.LoadStatePath.empty();
+  /// The result under construction; the phase machine counts into it.
+  SimResult Out;
 
-  uint64_t roiRetired() const { return RoiRetired; }
-  uint64_t warmupSeen() const { return WarmupSeen; }
-  bool markerSeen() const { return MarkerSeen; }
-  bool boundaryCrossed() const { return BoundaryCrossed; }
-  uint64_t boundaryRetired() const { return BoundaryRetired; }
-  const Error &boundaryError() const { return BoundaryErr; }
+  /// Resolves the warming length (\p DefaultWarmup when the controls leave
+  /// it on auto), applies a -warmup-load sidecar now — the model is
+  /// untouched until the boundary in load mode, so the recorded length is
+  /// authoritative and validated before anything executes — and checks
+  /// the length against the input's \p Region length, when it has one.
+  /// \p Digest identifies the input to a sidecar; it runs only when one is
+  /// saved or loaded.
+  Error setUp(uint64_t DefaultWarmup, std::optional<uint64_t> Region,
+              const std::function<Sha256Digest()> &Digest) {
+    if (SaveMode && LoadMode)
+      return makeError("RunControls: SaveStatePath and LoadStatePath are "
+                       "mutually exclusive");
+    Warmup = Controls.WarmupInstructions == UINT64_MAX
+                 ? DefaultWarmup
+                 : Controls.WarmupInstructions;
+    if (SaveMode || LoadMode)
+      InputDigest = Digest();
+    if (LoadMode) {
+      auto Meta =
+          loadSimState(Controls.LoadStatePath, Machine, InputDigest, Model);
+      if (!Meta)
+        return Meta.takeError();
+      // An explicit -warmup that disagrees with the checkpoint fails
+      // closed — silently preferring either value would resume at the
+      // wrong boundary.
+      if (Controls.WarmupInstructions != UINT64_MAX &&
+          Controls.WarmupInstructions != Meta->WarmupInstructions)
+        return makeCodedError(
+            "EFAULT.SIMSTATE.BUDGET",
+            "explicit warmup length %llu disagrees with the checkpoint's "
+            "%llu",
+            static_cast<unsigned long long>(Controls.WarmupInstructions),
+            static_cast<unsigned long long>(Meta->WarmupInstructions));
+      Warmup = Meta->WarmupInstructions;
+      Out.StateLoaded = true;
+    }
+    if (Region && Warmup >= *Region)
+      return makeCodedError(
+          "EFAULT.SIMSTATE.BUDGET",
+          "warmup length %llu must be smaller than the region length %llu",
+          static_cast<unsigned long long>(Warmup),
+          static_cast<unsigned long long>(*Region));
+    return Error::success();
+  }
+
+  /// Picks the starting phase and attaches to \p Engine, the VM whose
+  /// retired count and stop request the phase machine uses; null when the
+  /// replayer owns the budget (the caller attaches the observer then).
+  void start(vm::VM *Engine) {
+    this->Engine = Engine;
+    PostMarker = (Warmup > 0 || SaveMode || LoadMode)
+                     ? (LoadMode ? Phase::Skipping : Phase::Warming)
+                     : Phase::Detailed;
+    Ph = Controls.WaitForMarker ? Phase::FastForward : PostMarker;
+    if (Engine)
+      Engine->setObserver(this);
+  }
+
+  /// The shared result path. A failed sidecar save, a replay that left
+  /// its log (the numbers would describe some other execution) and a
+  /// faulted guest all fail the simulation.
+  Expected<SimResult> finish(vm::StopReason Reason, const vm::Fault &Fault,
+                             const std::string &Divergence,
+                             const vm::DecodeCacheStats &VMStats,
+                             const vm::MemStats &MemStats,
+                             const vm::JitStats &JitStats) {
+    if (BoundaryErr.isError())
+      return BoundaryErr;
+    if (!Divergence.empty())
+      return makeCodedError("EFAULT.REPLAY.DIVERGENCE", "%s",
+                            Divergence.c_str());
+    if (Reason == vm::StopReason::Faulted)
+      return makeError("simulated program faulted: %s",
+                       Fault.Message.c_str());
+    Out.Stats = Model.stats();
+    Out.Reason = Reason;
+    Out.VMStats = VMStats;
+    Out.MemStats = MemStats;
+    Out.JitStats = JitStats;
+    return std::move(Out);
+  }
 
   void onInstruction(const vm::ThreadState &T, uint64_t PC,
                      const isa::Inst &I) override {
@@ -71,8 +149,8 @@ public:
     if (Ph == Phase::FastForward)
       return;
     if (Ph == Phase::Warming || Ph == Phase::Skipping) {
-      if (WarmupSeen < WarmupBudget) {
-        ++WarmupSeen;
+      if (Out.WarmupRetired < Warmup) {
+        ++Out.WarmupRetired;
         if (Ph == Phase::Warming)
           Model.warmInstruction(Core, PC);
         return;
@@ -85,15 +163,14 @@ public:
         return;
     }
     Model.instruction(Core, PC, I);
-    ++RoiRetired;
+    ++Out.RoiRetired;
     if (Controls.StopPC && PC == Controls.StopPC &&
         ++StopPCHits >= Controls.StopPCCount) {
-      if (RequestStop)
-        RequestStop();
+      requestStop();
       return;
     }
-    if (RoiRetired >= Controls.MaxInstructions && RequestStop)
-      RequestStop();
+    if (Out.RoiRetired >= Controls.MaxInstructions)
+      requestStop();
   }
 
   void onMemoryAccess(uint32_t Tid, uint64_t Addr, uint32_t Size,
@@ -113,7 +190,7 @@ public:
     if (Ph != Phase::Detailed && Ph != Phase::Warming)
       return;
     unsigned Core = Tid % NumCores;
-    isa::Opcode Op = LastOp.count(Core) ? LastOp[Core] : isa::Opcode::Jmp;
+    isa::Opcode Op = LastOp[Core];
     // Unconditional direct transfers are perfectly predictable; only
     // conditional branches train the direction predictor and only
     // register-indirect jumps consult the BTB.
@@ -137,41 +214,57 @@ public:
   }
 
   void onMarker(uint32_t, isa::MarkerKind, int32_t) override {
-    MarkerSeen = true;
+    Out.MarkerSeen = true;
     if (Ph == Phase::FastForward && Controls.WaitForMarker)
       Ph = PostMarker;
   }
 
 private:
-  void crossBoundary() {
-    Ph = Phase::Detailed;
-    BoundaryCrossed = true;
-    // onInstruction fires before its instruction retires, so the global
-    // count here excludes the boundary instruction itself — the same
-    // index a resume lands on after fast-forwarding marker + W.
-    BoundaryRetired = GlobalRetired ? GlobalRetired() : TotalSeen - 1;
-    if (OnBoundary) {
-      BoundaryErr = OnBoundary();
-      if (BoundaryErr.isError() && RequestStop)
-        RequestStop();
-    }
+  void requestStop() {
+    if (Engine)
+      Engine->requestStop();
   }
 
-  TimingModel &Model;
-  RunControls Controls;
-  unsigned NumCores;
-  Phase Ph;
-  Phase PostMarker;
-  uint64_t WarmupBudget;
-  bool MarkerSeen = false;
-  bool BoundaryCrossed = false;
-  uint64_t BoundaryRetired = 0;
-  uint64_t WarmupSeen = 0;
+  /// Records the checkpoint index and, in save mode, serializes the
+  /// sidecar. Loads are not boundary work: setUp() already applied it.
+  void crossBoundary() {
+    Ph = Phase::Detailed;
+    // onInstruction fires before its instruction retires, so the global
+    // count here excludes the boundary instruction itself — the same
+    // index a resume lands on after fast-forwarding marker + W. Replay
+    // mode counts the observer's own events.
+    Out.CheckpointRetired = Engine ? Engine->globalRetired() : TotalSeen - 1;
+    if (!SaveMode)
+      return;
+    SimStateMeta Meta;
+    Meta.ConfigName = Machine.Name;
+    Meta.ConfigFP = configFingerprint(Machine);
+    Meta.InputDigest = InputDigest;
+    Meta.WarmupInstructions = Warmup;
+    Meta.CheckpointRetired = Out.CheckpointRetired;
+    Meta.DetailedBudget =
+        Controls.MaxInstructions == UINT64_MAX ? 0 : Controls.MaxInstructions;
+    BoundaryErr = saveSimState(Controls.SaveStatePath, Meta, Model);
+    if (BoundaryErr.isError())
+      requestStop();
+    else
+      Out.StateSaved = true;
+  }
+
+  const MachineConfig &Machine;
+  bool SaveMode = !Controls.SaveStatePath.empty();
+  Sha256Digest InputDigest;
+  vm::VM *Engine = nullptr;
+  Phase Ph = Phase::Detailed;
+  Phase PostMarker = Phase::Detailed;
   uint64_t TotalSeen = 0;
-  uint64_t RoiRetired = 0;
   uint64_t StopPCHits = 0;
   Error BoundaryErr;
-  std::map<unsigned, isa::Opcode> LastOp;
+  unsigned NumCores = Machine.NumCores;
+  /// The opcode each core retired last, for classifying its next control
+  /// transfer.
+  std::vector<isa::Opcode> LastOp =
+      std::vector<isa::Opcode>(NumCores, isa::Opcode::Jmp);
 };
 
 /// Cheap canonical identity for a checkpointed pinball: the region meta
@@ -199,59 +292,6 @@ Sha256Digest pinballInputDigest(const pinball::Pinball &PB) {
   return Sha256::digest(W.bytes().data(), W.size());
 }
 
-/// Builds the boundary hook shared by both front-ends: record the
-/// checkpoint index and, in save mode, serialize the sidecar. Loads are
-/// not boundary work — a resume applies the sidecar up front (the model is
-/// untouched until the boundary in load mode) so the recorded warming
-/// length is authoritative and validated before anything executes.
-std::function<Error()>
-makeBoundaryHook(SimResult &Out, SimObserver &Obs, const RunControls &Controls,
-                 const MachineConfig &Machine, const Sha256Digest &InputDigest,
-                 uint64_t Warmup, TimingModel &Model) {
-  return [&Out, &Obs, &Controls, &Machine, InputDigest, Warmup,
-          &Model]() -> Error {
-    Out.CheckpointRetired = Obs.boundaryRetired();
-    if (!Controls.SaveStatePath.empty()) {
-      SimStateMeta Meta;
-      Meta.ConfigName = Machine.Name;
-      Meta.ConfigFP = configFingerprint(Machine);
-      Meta.InputDigest = InputDigest;
-      Meta.WarmupInstructions = Warmup;
-      Meta.CheckpointRetired = Out.CheckpointRetired;
-      Meta.DetailedBudget = Controls.MaxInstructions == UINT64_MAX
-                                ? 0
-                                : Controls.MaxInstructions;
-      if (Error E = saveSimState(Controls.SaveStatePath, Meta, Model))
-        return E;
-      Out.StateSaved = true;
-    }
-    return Error::success();
-  };
-}
-
-/// Resume setup shared by both front-ends: apply the sidecar to \p Model
-/// now and resolve the warming length from its metadata. An explicit
-/// -warmup that disagrees with the checkpoint fails closed — silently
-/// preferring either value would resume at the wrong boundary.
-Error resolveLoadedWarmup(const std::string &Path,
-                          const MachineConfig &Machine,
-                          const Sha256Digest &InputDigest,
-                          TimingModel &Model, uint64_t &Warmup,
-                          const RunControls &Controls) {
-  auto Meta = loadSimState(Path, Machine, InputDigest, Model);
-  if (!Meta)
-    return Meta.takeError();
-  if (Controls.WarmupInstructions != UINT64_MAX &&
-      Controls.WarmupInstructions != Meta->WarmupInstructions)
-    return makeCodedError(
-        "EFAULT.SIMSTATE.BUDGET",
-        "explicit warmup length %llu disagrees with the checkpoint's %llu",
-        static_cast<unsigned long long>(Controls.WarmupInstructions),
-        static_cast<unsigned long long>(Meta->WarmupInstructions));
-  Warmup = Meta->WarmupInstructions;
-  return Error::success();
-}
-
 } // namespace
 
 Expected<SimResult>
@@ -265,57 +305,28 @@ sim::simulateBinaryImage(std::span<const uint8_t> Image,
   if (!Reader)
     return Reader.takeError();
 
-  bool SaveMode = !Controls.SaveStatePath.empty();
-  bool LoadMode = !Controls.LoadStatePath.empty();
-  if (SaveMode && LoadMode)
-    return makeError("RunControls: SaveStatePath and LoadStatePath are "
-                     "mutually exclusive");
-
+  Simulation S(Machine, std::move(Controls));
   // ELFie auto-detection: no argv/stack setup, detailed model starts at
   // the ROI marker, budget and warming length from the embedded symbols.
   bool IsElfie = Reader->findSymbol("elfie_on_start") != nullptr;
-  uint64_t Region = 0;
-  uint64_t Warmup = Controls.WarmupInstructions == UINT64_MAX
-                        ? 0
-                        : Controls.WarmupInstructions;
+  uint64_t Region = 0, DefaultWarmup = 0;
   if (IsElfie) {
-    Controls.WaitForMarker = true;
+    S.Controls.WaitForMarker = true;
     if (const auto *Len = Reader->findSymbol("elfie_region_length"))
       Region = Len->Value;
-    if (Controls.WarmupInstructions == UINT64_MAX)
-      if (const auto *WL = Reader->findSymbol("elfie_warmup_length"))
-        Warmup = WL->Value;
+    if (const auto *WL = Reader->findSymbol("elfie_warmup_length"))
+      DefaultWarmup = WL->Value;
   }
-
-  TimingModel Model(Machine);
-  Sha256Digest InputDigest;
-  if (SaveMode || LoadMode)
-    InputDigest = Sha256::digest(Image);
-
-  SimResult Out;
-  Out.WasElfie = IsElfie;
-
-  // Resume: apply the sidecar now (the model is untouched until the
-  // boundary in load mode) and take the warming length it records.
-  if (LoadMode) {
-    if (Error E = resolveLoadedWarmup(Controls.LoadStatePath, Machine,
-                                      InputDigest, Model, Warmup, Controls))
-      return E;
-    Out.StateLoaded = true;
-  }
-
-  if (Region) {
-    if (Warmup >= Region)
-      return makeCodedError(
-          "EFAULT.SIMSTATE.BUDGET",
-          "warmup length %llu must be smaller than the region length %llu",
-          static_cast<unsigned long long>(Warmup),
-          static_cast<unsigned long long>(Region));
-    // The embedded region length covers warming + ROI; the detailed
-    // budget is the remainder.
-    if (Controls.MaxInstructions == UINT64_MAX)
-      Controls.MaxInstructions = Region - Warmup;
-  }
+  S.Out.WasElfie = IsElfie;
+  if (Error E = S.setUp(DefaultWarmup,
+                        Region ? std::optional<uint64_t>(Region)
+                               : std::nullopt,
+                        [&] { return Sha256::digest(Image); }))
+    return E;
+  // The embedded region length covers warming + ROI; the detailed budget
+  // is the remainder.
+  if (Region && S.Controls.MaxInstructions == UINT64_MAX)
+    S.Controls.MaxInstructions = Region - S.Warmup;
 
   if (!VMConfig.StdoutSink)
     VMConfig.StdoutSink = [](const char *, size_t) {};
@@ -336,10 +347,9 @@ sim::simulateBinaryImage(std::span<const uint8_t> Image,
   // A -warmup-load resume fast-forwards the same way even without the
   // JIT: its warming stretch needs no callbacks either.
   // Single-core only — the multicore path is timing-driven from the start.
-  bool FastForwardedMarker = false;
   bool Finished = false;
   vm::RunResult R;
-  if (Controls.WaitForMarker && (VMConfig.EnableJit || LoadMode) &&
+  if (S.Controls.WaitForMarker && (VMConfig.EnableJit || S.LoadMode) &&
       Machine.NumCores <= 1) {
     class MarkerWatch : public vm::Observer {
     public:
@@ -355,12 +365,12 @@ sim::simulateBinaryImage(std::span<const uint8_t> Image,
     M.setObserver(&FF);
     R = M.run(UINT64_MAX);
     M.setObserver(nullptr);
-    FastForwardedMarker = FF.Seen;
+    S.Out.MarkerSeen = FF.Seen;
     if (R.Reason == vm::StopReason::Stopped && FF.Seen) {
       // The marker retired; start the detailed phase already active. The
       // per-core LastOp tracking the fast-forward skipped is harmless:
       // every ROI control transfer is preceded by its own onInstruction.
-      Controls.WaitForMarker = false;
+      S.Controls.WaitForMarker = false;
     } else {
       Finished = true; // exited / halted / faulted before any ROI marker
     }
@@ -370,34 +380,23 @@ sim::simulateBinaryImage(std::span<const uint8_t> Image,
   // functionally — observer-free, so the JIT stays active — with the model
   // already restored from the sidecar. The detailed phase below starts
   // exactly at the boundary a cold -warmup-save run checkpoints.
-  if (LoadMode && !Finished && Machine.NumCores <= 1 &&
-      !Controls.WaitForMarker) {
-    if (Warmup > 0) {
-      R = M.run(Warmup);
+  if (S.LoadMode && !Finished && Machine.NumCores <= 1 &&
+      !S.Controls.WaitForMarker) {
+    if (S.Warmup > 0) {
+      R = M.run(S.Warmup);
       if (R.Reason != vm::StopReason::BudgetReached)
         Finished = true; // the program ended inside the warming stretch
       else
-        Out.WarmupRetired = Warmup;
+        S.Out.WarmupRetired = S.Warmup;
     }
     if (!Finished) {
-      Out.CheckpointRetired = M.globalRetired();
-      LoadMode = false; // consumed: the observer starts detailed
-      Warmup = 0;
+      S.Out.CheckpointRetired = M.globalRetired();
+      S.LoadMode = false; // consumed: the observer starts detailed
+      S.Warmup = 0;
     }
   }
 
-  Phase PostMarker = (Warmup > 0 || SaveMode || LoadMode)
-                         ? (LoadMode ? Phase::Skipping : Phase::Warming)
-                         : Phase::Detailed;
-  Phase Initial = Controls.WaitForMarker ? Phase::FastForward : PostMarker;
-  SimObserver Obs(Model, Controls, Machine.NumCores, Initial, PostMarker,
-                  Warmup);
-  Obs.RequestStop = [&M] { M.requestStop(); };
-  Obs.GlobalRetired = [&M] { return M.globalRetired(); };
-  Obs.OnBoundary = makeBoundaryHook(Out, Obs, Controls, Machine, InputDigest,
-                                    Warmup, Model);
-  M.setObserver(&Obs);
-
+  S.start(&M);
   if (Finished) {
     // Nothing left to simulate; R already holds the outcome.
   } else if (Machine.NumCores <= 1) {
@@ -410,6 +409,7 @@ sim::simulateBinaryImage(std::span<const uint8_t> Image,
     // accumulated cycles, so slow (miss-heavy) threads fall behind and
     // spin-waiting peers really spin. This is what makes unconstrained
     // ELFie simulation diverge from constrained pinball replay (Fig. 11).
+    const std::vector<CoreStats> &Cores = S.Model.stats().Cores;
     R.Reason = vm::StopReason::AllExited;
     while (true) {
       std::vector<uint32_t> Live = M.liveThreadIds();
@@ -419,9 +419,9 @@ sim::simulateBinaryImage(std::span<const uint8_t> Image,
         break;
       }
       uint32_t Pick = Live[0];
-      double Best = Model.stats().Cores[Pick % Machine.NumCores].Cycles;
+      double Best = Cores[Pick % Machine.NumCores].Cycles;
       for (uint32_t Tid : Live) {
-        double C = Model.stats().Cores[Tid % Machine.NumCores].Cycles;
+        double C = Cores[Tid % Machine.NumCores].Cycles;
         if (C < Best) {
           Best = C;
           Pick = Tid;
@@ -438,22 +438,8 @@ sim::simulateBinaryImage(std::span<const uint8_t> Image,
       break;
     }
   }
-  if (Obs.boundaryError().isError())
-    return Error(Obs.boundaryError());
-  if (R.Reason == vm::StopReason::Faulted)
-    return makeError("simulated program faulted: %s",
-                     R.FaultInfo.Message.c_str());
-
-  Out.Stats = Model.stats();
-  Out.Reason = R.Reason;
-  Out.RoiRetired = Obs.roiRetired();
-  Out.MarkerSeen = Obs.markerSeen() || FastForwardedMarker;
-  if (Obs.warmupSeen())
-    Out.WarmupRetired = Obs.warmupSeen();
-  Out.VMStats = M.decodeCacheStats();
-  Out.MemStats = M.mem().memStats();
-  Out.JitStats = M.jitStats();
-  return Out;
+  return S.finish(R.Reason, R.FaultInfo, /*Divergence=*/"",
+                  M.decodeCacheStats(), M.mem().memStats(), M.jitStats());
 }
 
 Expected<SimResult> sim::simulateBinaryFile(const std::string &Path,
@@ -475,65 +461,25 @@ Expected<SimResult> sim::simulatePinball(const pinball::Pinball &PB,
                                          bool Constrained,
                                          RunControls Controls,
                                          vm::VMConfig VMConfig) {
-  bool SaveMode = !Controls.SaveStatePath.empty();
-  bool LoadMode = !Controls.LoadStatePath.empty();
-  if (SaveMode && LoadMode)
-    return makeError("RunControls: SaveStatePath and LoadStatePath are "
-                     "mutually exclusive");
   // Replay starts at the region entry; there is no marker to wait for.
   Controls.WaitForMarker = false;
-  uint64_t Warmup = Controls.WarmupInstructions == UINT64_MAX
-                        ? 0
-                        : Controls.WarmupInstructions;
-
-  TimingModel Model(Machine);
-  Sha256Digest InputDigest;
-  if (SaveMode || LoadMode)
-    InputDigest = pinballInputDigest(PB);
-
-  SimResult Out;
-  if (LoadMode) {
-    if (Error E = resolveLoadedWarmup(Controls.LoadStatePath, Machine,
-                                      InputDigest, Model, Warmup, Controls))
-      return E;
-    Out.StateLoaded = true;
-  }
-  if (Warmup >= PB.Meta.RegionLength)
-    return makeCodedError(
-        "EFAULT.SIMSTATE.BUDGET",
-        "warmup length %llu must be smaller than the region length %llu",
-        static_cast<unsigned long long>(Warmup),
-        static_cast<unsigned long long>(PB.Meta.RegionLength));
-
-  Phase Initial = (Warmup > 0 || SaveMode || LoadMode)
-                      ? (LoadMode ? Phase::Skipping : Phase::Warming)
-                      : Phase::Detailed;
-  SimObserver Obs(Model, Controls, Machine.NumCores, Initial, Initial,
-                  Warmup);
-  Obs.OnBoundary = makeBoundaryHook(Out, Obs, Controls, Machine, InputDigest,
-                                    Warmup, Model);
+  Simulation S(Machine, std::move(Controls));
+  if (Error E = S.setUp(/*DefaultWarmup=*/0, PB.Meta.RegionLength,
+                        [&] { return pinballInputDigest(PB); }))
+    return E;
+  S.start(/*Engine=*/nullptr);
 
   replay::ReplayOptions Opts;
   Opts.Injection = Constrained;
   Opts.Config = std::move(VMConfig);
-  Opts.Obs = &Obs;
+  Opts.Obs = &S;
   // The replayer's budget covers warming + ROI; the observer partitions
   // the stream at the boundary.
-  if (Controls.MaxInstructions != UINT64_MAX)
-    Opts.MaxInstructions = Warmup + Controls.MaxInstructions;
+  if (S.Controls.MaxInstructions != UINT64_MAX)
+    Opts.MaxInstructions = S.Warmup + S.Controls.MaxInstructions;
   auto R = replay::replayPinball(PB, Opts);
   if (!R)
     return R.takeError();
-  if (Obs.boundaryError().isError())
-    return Error(Obs.boundaryError());
-
-  Out.Stats = Model.stats();
-  Out.Reason = R->Reason;
-  Out.RoiRetired = Obs.roiRetired();
-  Out.MarkerSeen = Obs.markerSeen();
-  Out.WarmupRetired = Obs.warmupSeen();
-  Out.VMStats = R->VMStats;
-  Out.MemStats = R->MemStats;
-  Out.JitStats = R->JitStats;
-  return Out;
+  return S.finish(R->Reason, R->FaultInfo, R->Divergence, R->VMStats,
+                  R->MemStats, R->JitStats);
 }

@@ -116,6 +116,9 @@ Expected<SimResult> simulateBinaryFile(const std::string &Path,
 /// Simulates a pinball region: constrained (schedule + injection enforced)
 /// or unconstrained (ELFie-like free run of the same checkpoint).
 /// \p VMConfig seeds the replay VM's configuration (FsRoot, EnableJit...).
+/// A constrained replay that diverges from its log fails with
+/// EFAULT.REPLAY.DIVERGENCE carrying the replayer's divergence text; a
+/// faulted guest fails in both front-ends.
 Expected<SimResult> simulatePinball(const pinball::Pinball &PB,
                                     const MachineConfig &Machine,
                                     bool Constrained,

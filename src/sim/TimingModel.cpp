@@ -71,44 +71,55 @@ void TimingModel::chargeStall(CoreState &C, unsigned Latency, bool IsStore) {
   C.Stats->Cycles += Stall;
 }
 
-unsigned TimingModel::dataAccess(CoreState &C, uint64_t Addr, bool IsWrite,
-                                 bool Kernel) {
-  auto &Pages = Kernel ? Stats.KernelDataPages : Stats.UserDataPages;
-  Pages.insert(Addr >> 12);
+// Each access sequence is written once, templated on Warm. The warm
+// instantiation performs the identical structure updates in the identical
+// order (so LRU stamps evolve the same) and drops every charge: cycles,
+// SimStats counters, footprint pages, the timer and the synthetic kernel.
 
-  ++C.Stats->L1DAccesses;
+template <bool Warm>
+unsigned TimingModel::dataAccess(CoreState &C, uint64_t Addr, bool IsWrite) {
+  auto &Pages = C.InKernel ? Stats.KernelDataPages : Stats.UserDataPages;
+  if constexpr (!Warm) {
+    Pages.insert(Addr >> 12);
+    ++C.Stats->L1DAccesses;
+  }
   // TLB first.
   unsigned Latency = 0;
   if (!C.Dtlb.access(Addr)) {
-    ++C.Stats->DTLBMisses;
+    if constexpr (!Warm)
+      ++C.Stats->DTLBMisses;
     Latency += Config.Core.PageWalkCycles;
   }
   if (C.L1D.access(Addr, IsWrite))
     return Latency;
-  ++C.Stats->L1DMisses;
+  if constexpr (!Warm)
+    ++C.Stats->L1DMisses;
   if (C.L2.access(Addr, IsWrite)) {
     C.L1D.access(Addr, IsWrite); // fill (already done by access miss path)
     return Latency + Config.Core.L2.LatencyCycles;
   }
-  ++C.Stats->L2Misses;
+  if constexpr (!Warm)
+    ++C.Stats->L2Misses;
   // Next-line prefetch into L2 on a demand L2 miss.
   if (Config.Core.NextLinePrefetcher) {
     uint64_t Next = Addr + CacheLineSize;
     if (!C.L2.contains(Next)) {
-      bool L3Hit = L3->contains(Next);
       C.L2.access(Next, false);
       L3->access(Next, false);
-      ++C.Stats->Prefetches;
-      Pages.insert(Next >> 12);
-      (void)L3Hit;
+      if constexpr (!Warm) {
+        ++C.Stats->Prefetches;
+        Pages.insert(Next >> 12);
+      }
     }
   }
   if (L3->access(Addr, IsWrite))
     return Latency + Config.L3.LatencyCycles;
-  ++C.Stats->L3Misses;
+  if constexpr (!Warm)
+    ++C.Stats->L3Misses;
   return Latency + Config.L3.LatencyCycles + Config.MemLatencyCycles;
 }
 
+template <bool Warm>
 unsigned TimingModel::fetchAccess(CoreState &C, uint64_t PC) {
   uint64_t Line = PC / CacheLineSize;
   if (Line == C.LastFetchLine)
@@ -116,7 +127,8 @@ unsigned TimingModel::fetchAccess(CoreState &C, uint64_t PC) {
   C.LastFetchLine = Line;
   unsigned Latency = 0;
   if (!C.Itlb.access(PC)) {
-    ++C.Stats->ITLBMisses;
+    if constexpr (!Warm)
+      ++C.Stats->ITLBMisses;
     Latency += Config.Core.PageWalkCycles;
   }
   if (C.L1I.access(PC, false))
@@ -128,26 +140,29 @@ unsigned TimingModel::fetchAccess(CoreState &C, uint64_t PC) {
   return Latency + Config.L3.LatencyCycles + Config.MemLatencyCycles;
 }
 
-void TimingModel::instruction(unsigned Core, uint64_t PC,
-                              const isa::Inst &I) {
+template <bool Warm> void TimingModel::retire(unsigned Core, uint64_t PC) {
   CoreState &C = *Cores[Core];
-  C.Stats->Cycles += 1.0 / Config.Core.DispatchWidth;
-  ++C.Stats->Instructions;
-  unsigned FetchLat = fetchAccess(C, PC);
-  if (FetchLat)
-    C.Stats->Cycles += FetchLat * 0.5; // fetch-ahead hides half
-
-  // Timer interrupt (full-system only).
-  if (Config.Kernel.Enabled &&
-      ++C.SinceTimer >= Config.Kernel.TimerIntervalInsts) {
-    C.SinceTimer = 0;
-    runKernelHandler(C, Config.Kernel.TimerHandlerInsts,
-                     /*Seed=*/PC ^ 0x1234);
+  if constexpr (!Warm) {
+    C.Stats->Cycles += 1.0 / Config.Core.DispatchWidth;
+    ++C.Stats->Instructions;
+  }
+  unsigned FetchLat = fetchAccess<Warm>(C, PC);
+  if constexpr (!Warm) {
+    if (FetchLat)
+      C.Stats->Cycles += FetchLat * 0.5; // fetch-ahead hides half
+    // Timer interrupt (full-system only). The synthetic kernel charges
+    // stats, so warming never models it.
+    if (Config.Kernel.Enabled &&
+        ++C.SinceTimer >= Config.Kernel.TimerIntervalInsts) {
+      C.SinceTimer = 0;
+      runKernelHandler(C, Config.Kernel.TimerHandlerInsts,
+                       /*Seed=*/PC ^ 0x1234);
+    }
   }
 }
 
-void TimingModel::memoryAccess(unsigned Core, uint64_t Addr, uint32_t Size,
-                               bool IsWrite) {
+template <bool Warm>
+void TimingModel::access(unsigned Core, uint64_t Addr, bool IsWrite) {
   CoreState &C = *Cores[Core];
   // Write-invalidate coherence: a store snoops the other cores.
   if (IsWrite && Config.NumCores > 1) {
@@ -157,91 +172,64 @@ void TimingModel::memoryAccess(unsigned Core, uint64_t Addr, uint32_t Size,
       if (Other->L1D.contains(Addr) || Other->L2.contains(Addr)) {
         Other->L1D.invalidate(Addr);
         Other->L2.invalidate(Addr);
-        ++C.Stats->CoherenceInvalidations;
-        C.Stats->Cycles += Config.CoherencePenaltyCycles;
+        if constexpr (!Warm) {
+          ++C.Stats->CoherenceInvalidations;
+          C.Stats->Cycles += Config.CoherencePenaltyCycles;
+        }
       }
     }
   }
-  unsigned Latency = dataAccess(C, Addr, IsWrite, C.InKernel);
-  chargeStall(C, Latency, IsWrite);
+  unsigned Latency = dataAccess<Warm>(C, Addr, IsWrite);
+  if constexpr (!Warm)
+    chargeStall(C, Latency, IsWrite);
+}
+
+template <bool Warm>
+void TimingModel::transfer(unsigned Core, uint64_t FromPC, uint64_t ToPC,
+                           bool Taken, bool IsIndirect) {
+  CoreState &C = *Cores[Core];
+  bool Correct = IsIndirect ? C.Btb.predictAndUpdate(FromPC, ToPC)
+                            : C.BP.predictAndUpdate(FromPC, Taken);
+  if constexpr (!Warm) {
+    ++C.Stats->Branches;
+    if (!Correct) {
+      ++C.Stats->BranchMispredicts;
+      C.Stats->Cycles += Config.Core.MispredictPenalty;
+      if (C.InKernel)
+        C.Stats->Ring0Cycles += Config.Core.MispredictPenalty;
+    }
+  }
+}
+
+void TimingModel::instruction(unsigned Core, uint64_t PC,
+                              const isa::Inst &) {
+  retire<false>(Core, PC);
+}
+
+void TimingModel::memoryAccess(unsigned Core, uint64_t Addr, uint32_t,
+                               bool IsWrite) {
+  access<false>(Core, Addr, IsWrite);
 }
 
 void TimingModel::controlTransfer(unsigned Core, uint64_t FromPC,
                                   uint64_t ToPC, bool Taken,
                                   bool IsIndirect) {
-  CoreState &C = *Cores[Core];
-  ++C.Stats->Branches;
-  bool Correct;
-  if (IsIndirect)
-    Correct = C.Btb.predictAndUpdate(FromPC, ToPC);
-  else
-    Correct = C.BP.predictAndUpdate(FromPC, Taken);
-  if (!Correct) {
-    ++C.Stats->BranchMispredicts;
-    C.Stats->Cycles += Config.Core.MispredictPenalty;
-    if (C.InKernel)
-      C.Stats->Ring0Cycles += Config.Core.MispredictPenalty;
-  }
+  transfer<false>(Core, FromPC, ToPC, Taken, IsIndirect);
 }
 
 void TimingModel::warmInstruction(unsigned Core, uint64_t PC) {
-  // fetchAccess minus the ITLB-miss counter; latencies are discarded.
-  CoreState &C = *Cores[Core];
-  uint64_t Line = PC / CacheLineSize;
-  if (Line == C.LastFetchLine)
-    return;
-  C.LastFetchLine = Line;
-  C.Itlb.access(PC);
-  if (C.L1I.access(PC, false))
-    return;
-  if (C.L2.access(PC, false))
-    return;
-  L3->access(PC, false);
+  retire<true>(Core, PC);
 }
 
-void TimingModel::warmMemoryAccess(unsigned Core, uint64_t Addr,
-                                   uint32_t Size, bool IsWrite) {
-  (void)Size;
-  CoreState &C = *Cores[Core];
-  // Coherence invalidations change cache contents, so they must happen
-  // while warming too — without the cycle penalty.
-  if (IsWrite && Config.NumCores > 1) {
-    for (auto &Other : Cores) {
-      if (Other->Index == Core)
-        continue;
-      if (Other->L1D.contains(Addr) || Other->L2.contains(Addr)) {
-        Other->L1D.invalidate(Addr);
-        Other->L2.invalidate(Addr);
-      }
-    }
-  }
-  // dataAccess minus stats/footprint, same access and prefetch order so
-  // LRU stamps evolve identically to a detailed-phase access.
-  C.Dtlb.access(Addr);
-  if (C.L1D.access(Addr, IsWrite))
-    return;
-  if (C.L2.access(Addr, IsWrite)) {
-    C.L1D.access(Addr, IsWrite);
-    return;
-  }
-  if (Config.Core.NextLinePrefetcher) {
-    uint64_t Next = Addr + CacheLineSize;
-    if (!C.L2.contains(Next)) {
-      C.L2.access(Next, false);
-      L3->access(Next, false);
-    }
-  }
-  L3->access(Addr, IsWrite);
+void TimingModel::warmMemoryAccess(unsigned Core, uint64_t Addr, uint32_t,
+                                   bool IsWrite) {
+  access<true>(Core, Addr, IsWrite);
 }
 
 void TimingModel::warmControlTransfer(unsigned Core, uint64_t FromPC,
                                       uint64_t ToPC, bool Taken,
                                       bool IsIndirect) {
-  CoreState &C = *Cores[Core];
-  if (IsIndirect)
-    C.Btb.predictAndUpdate(FromPC, ToPC);
-  else
-    C.BP.predictAndUpdate(FromPC, Taken);
+  transfer<true>(Core, FromPC, ToPC, Taken, IsIndirect);
 }
 
 void TimingModel::runKernelHandler(CoreState &C, unsigned NumInsts,
@@ -257,7 +245,7 @@ void TimingModel::runKernelHandler(CoreState &C, unsigned NumInsts,
     ++C.Stats->Ring0Instructions;
     if ((I & 7) == 0) {
       unsigned FetchLat =
-          fetchAccess(C, K.KernelTextBase + (TextCursor + I * 8) %
+          fetchAccess<false>(C, K.KernelTextBase + (TextCursor + I * 8) %
                                                 K.KernelTextBytes);
       C.Stats->Cycles += FetchLat * 0.5;
     }
@@ -273,7 +261,7 @@ void TimingModel::runKernelHandler(CoreState &C, unsigned NumInsts,
       } else {
         Addr = K.KernelDataBase + K.KernelDataBytes + (I * 64) % 4096;
       }
-      unsigned Lat = dataAccess(C, Addr, (I & 15) == 0, /*Kernel=*/true);
+      unsigned Lat = dataAccess<false>(C, Addr, (I & 15) == 0);
       chargeStall(C, Lat, false);
     }
   }

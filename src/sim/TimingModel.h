@@ -140,12 +140,13 @@ public:
                        bool Taken, bool IsIndirect);
   void syscall(unsigned Core, uint64_t Nr);
 
-  /// Warming entry points: mirror the detailed entry points' structure
-  /// updates (fills, LRU movement, prefetches, coherence invalidations,
-  /// predictor training) exactly, but charge no cycles and record no
-  /// SimStats counters or footprint pages. A warming phase leaves the
-  /// machine hot without perturbing the measured ROI; the synthetic
-  /// kernel is not modelled while warming (no timer/syscall handlers).
+  /// Warming entry points: the same structure updates as the detailed
+  /// entry points (fills, LRU movement, prefetches, coherence
+  /// invalidations, predictor training) — both are one templated sequence
+  /// each — but no cycles, SimStats counters or footprint pages. A warming
+  /// phase leaves the machine hot without perturbing the measured ROI; the
+  /// synthetic kernel is not modelled while warming (no timer/syscall
+  /// handlers).
   void warmInstruction(unsigned Core, uint64_t PC);
   void warmMemoryAccess(unsigned Core, uint64_t Addr, uint32_t Size,
                         bool IsWrite);
@@ -164,11 +165,19 @@ public:
   const Cache &l3() const { return *L3; }
 
 private:
+  /// The entry points' sequences; Warm drops every charge and counter.
+  template <bool Warm> void retire(unsigned Core, uint64_t PC);
+  template <bool Warm>
+  void access(unsigned Core, uint64_t Addr, bool IsWrite);
+  template <bool Warm>
+  void transfer(unsigned Core, uint64_t FromPC, uint64_t ToPC, bool Taken,
+                bool IsIndirect);
   /// Data-side hierarchy lookup: returns the miss latency beyond L1 and
-  /// updates all levels. \p Kernel routes footprint accounting.
-  unsigned dataAccess(CoreState &C, uint64_t Addr, bool IsWrite,
-                      bool Kernel);
-  unsigned fetchAccess(CoreState &C, uint64_t PC);
+  /// updates all levels. Footprint pages go to the kernel set while the
+  /// core runs the synthetic kernel.
+  template <bool Warm>
+  unsigned dataAccess(CoreState &C, uint64_t Addr, bool IsWrite);
+  template <bool Warm> unsigned fetchAccess(CoreState &C, uint64_t PC);
   void runKernelHandler(CoreState &C, unsigned NumInsts, uint64_t Seed);
   void chargeStall(CoreState &C, unsigned Latency, bool IsStore);
 

@@ -30,7 +30,8 @@ int main(int Argc, char **Argv) {
              "JIT the functional VM (x86-64 hosts); accelerates the "
              "pre-ROI fast-forward of ELFie inputs");
   CL.addFlag("vm:stats", false,
-             "print the functional VM's decoded-block cache statistics");
+             "print the functional VM's decode-cache, memory and JIT "
+             "counters");
   CL.addInt("warmup", -1,
             "functional-warming length before detailed simulation "
             "(default: the ELFie's embedded elfie_warmup_length, else 0)");
@@ -87,6 +88,12 @@ int main(int Argc, char **Argv) {
                                   CL.positional().end());
     R = sim::simulateBinaryFile(CL.positional()[0], Machine, Controls, VMC,
                                 Args);
+  }
+  // A constrained replay that left its log exits like ereplay does.
+  if (!R && R.error().code() == "EFAULT.REPLAY.DIVERGENCE") {
+    std::fprintf(stderr, "esim: DIVERGENCE: %s\n",
+                 R.error().str().c_str());
+    return ExitDivergence;
   }
   sim::SimResult Result = exitOnError(std::move(R));
   std::printf("=== esim (%s) ===\n", Machine.Name.c_str());

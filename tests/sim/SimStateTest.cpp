@@ -218,6 +218,105 @@ TEST(SimComponentRoundTrip, SimStatsValueType) {
   EXPECT_EQ(OneCore.load(SR2).code(), "EFAULT.SIMSTATE.COMPONENT");
 }
 
+// ---- Warming mirrors the detailed path ----
+
+/// Feeds one seeded event stream into \p Model through the warm entry
+/// points (\p Warm) or the detailed ones: per-core instruction streams,
+/// loads and stores over shared lines (coherence snoops), a private set
+/// larger than L2 (L2 misses, prefetches) and a set larger than L3 and the
+/// TLB reach, plus conditional branches and indirect jumps.
+void feedSeededStream(TimingModel &Model, bool Warm) {
+  RNG R(20211);
+  isa::Inst Add;
+  Add.Op = isa::Opcode::Add;
+  std::vector<uint64_t> PCs(Model.numCores(), 0x400000);
+  for (int I = 0; I < 200000; ++I) {
+    unsigned Core = static_cast<unsigned>(R.nextBelow(Model.numCores()));
+    uint64_t &PC = PCs[Core];
+    if (Warm)
+      Model.warmInstruction(Core, PC);
+    else
+      Model.instruction(Core, PC, Add);
+    uint64_t Kind = R.nextBelow(8);
+    if (Kind < 3) {
+      uint64_t Addr;
+      switch (R.nextBelow(3)) {
+      case 0:
+        Addr = 0x10000000 + R.nextBelow(16 * 1024);
+        break;
+      case 1:
+        Addr = 0x20000000 + Core * 0x1000000ull + R.nextBelow(512 * 1024);
+        break;
+      default:
+        Addr = 0x40000000 + R.nextBelow(64ull << 20);
+        break;
+      }
+      bool IsWrite = R.nextBelow(3) == 0;
+      if (Warm)
+        Model.warmMemoryAccess(Core, Addr, 8, IsWrite);
+      else
+        Model.memoryAccess(Core, Addr, 8, IsWrite);
+    } else if (Kind < 5) {
+      // Each branch site has a fixed target; each indirect site picks one
+      // of two, so both predictors see hits and misses.
+      bool Indirect = Kind == 4;
+      uint64_t Target = 0x400000 + ((PC * 2654435761ull) % (1 << 20)) / 8 * 8;
+      if (Indirect && R.nextBelow(2))
+        Target += 64;
+      bool Taken = Indirect || R.nextBelow(4) != 0;
+      uint64_t To = Taken ? Target : PC + 8;
+      if (Warm)
+        Model.warmControlTransfer(Core, PC, To, Taken, Indirect);
+      else
+        Model.controlTransfer(Core, PC, To, Taken, Indirect);
+      PC = To;
+      continue;
+    }
+    PC += 8;
+  }
+}
+
+TEST(WarmingMirror, WarmEntryPointsLeaveTheDetailedState) {
+  // The synthetic kernel is detailed-only by design, so the machine runs
+  // without it.
+  MachineConfig Machine = makeGainestown8();
+  ASSERT_FALSE(Machine.Kernel.Enabled);
+  ASSERT_TRUE(Machine.Core.NextLinePrefetcher);
+  TimingModel Detailed(Machine), Warmed(Machine), Fresh(Machine);
+  feedSeededStream(Detailed, /*Warm=*/false);
+  feedSeededStream(Warmed, /*Warm=*/true);
+
+  for (unsigned I = 0; I < Machine.NumCores; ++I)
+    EXPECT_EQ(componentBytes(Warmed.core(I)), componentBytes(Detailed.core(I)))
+        << "core " << I << " differs after warming";
+  EXPECT_EQ(componentBytes(Warmed.l3()), componentBytes(Detailed.l3()))
+      << "the shared L3 differs after warming";
+
+  // Warming charges nothing: no cycles, no counters, no footprint.
+  EXPECT_EQ(statsBytes(Warmed.stats()), statsBytes(Fresh.stats()));
+  EXPECT_EQ(Warmed.stats().totalCycles(), 0.0);
+  EXPECT_TRUE(Warmed.stats().UserDataPages.empty());
+
+  // The stream reaches every sequence the warm path must mirror.
+  CoreStats Sum;
+  for (const CoreStats &C : Detailed.stats().Cores) {
+    Sum.ITLBMisses += C.ITLBMisses;
+    Sum.DTLBMisses += C.DTLBMisses;
+    Sum.L3Misses += C.L3Misses;
+    Sum.Prefetches += C.Prefetches;
+    Sum.CoherenceInvalidations += C.CoherenceInvalidations;
+    Sum.Branches += C.Branches;
+    Sum.BranchMispredicts += C.BranchMispredicts;
+  }
+  EXPECT_GT(Sum.ITLBMisses, 0u);
+  EXPECT_GT(Sum.DTLBMisses, 0u);
+  EXPECT_GT(Sum.L3Misses, 0u);
+  EXPECT_GT(Sum.Prefetches, 0u);
+  EXPECT_GT(Sum.CoherenceInvalidations, 0u);
+  EXPECT_GT(Sum.BranchMispredicts, 0u);
+  EXPECT_LT(Sum.BranchMispredicts, Sum.Branches);
+}
+
 // ---- Sidecar format: fail-closed taxonomy ----
 
 /// Puts a little state into every component, for container tests.

@@ -356,6 +356,27 @@ TEST(Frontend, PinballConstrainedVsUnconstrainedMT) {
   removeTree(Dir);
 }
 
+TEST(Frontend, DivergedPinballSimulationFailsClosed) {
+  std::string Dir = tempDir("pbdiv");
+  auto PB = test::capture(Dir, test::clockProgram(), 3000, 10000,
+                          pinball::LoggerOptions::fat());
+  ASSERT_TRUE(PB.hasValue()) << PB.message();
+  ASSERT_FALSE(PB->Syscalls.empty());
+  auto Clean = simulatePinball(*PB, makeGainestown8(), /*Constrained=*/true);
+  ASSERT_TRUE(Clean.hasValue()) << Clean.message();
+
+  // The replay now executes a syscall the log does not record: the
+  // simulation must refuse, not report numbers for another execution.
+  PB->Syscalls[0].Nr += 1;
+  auto R = simulatePinball(*PB, makeGainestown8(), /*Constrained=*/true);
+  ASSERT_FALSE(R.hasValue());
+  EXPECT_EQ(R.error().code(), "EFAULT.REPLAY.DIVERGENCE") << R.message();
+  EXPECT_NE(R.message().find("syscall divergence at record 0"),
+            std::string::npos)
+      << R.message();
+  removeTree(Dir);
+}
+
 TEST(Frontend, StopPCCondition) {
   std::string Src = R"(
 _start:

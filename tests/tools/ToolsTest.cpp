@@ -360,6 +360,52 @@ loop:
       << R.Output;
 }
 
+TEST_F(ToolPipeline, DivergedPinballSimulationExitsThree) {
+  // A gettid syscall inside the loop puts sel.log records in the region.
+  std::string Src = R"(
+_start:
+  ldi r9, 0
+loop:
+  addi r9, r9, 1
+  ldi r7, 10
+  syscall
+  slti r3, r9, 30000
+  bnez r3, loop
+  ldi r7, 1
+  ldi r1, 0
+  syscall
+)";
+  ASSERT_FALSE(writeFileText(Dir + "/p.s", Src).isError());
+  auto R = runTool(formatString("easm -o %s/p.elf %s/p.s", Dir.c_str(),
+                                Dir.c_str()));
+  ASSERT_EQ(R.ExitCode, 0) << R.Output;
+  R = runTool(formatString("elogger -region:start 5000 -region:length "
+                           "20000 -log:fat 1 -o %s/r.pb %s/p.elf",
+                           Dir.c_str(), Dir.c_str()));
+  ASSERT_EQ(R.ExitCode, 0) << R.Output;
+  R = runTool(formatString("esim -config gainestown8 %s/r.pb", Dir.c_str()));
+  ASSERT_EQ(R.ExitCode, 0) << R.Output;
+
+  // Rewrite the first sel.log record's syscall number (the u64 after the
+  // 12-byte header, the record count and the record's tid).
+  auto Sel = readFileBytes(Dir + "/r.pb/sel.log");
+  ASSERT_TRUE(Sel.hasValue()) << Sel.message();
+  ASSERT_GT(Sel->size(), 28u);
+  (*Sel)[20] = 99;
+  ASSERT_FALSE(
+      writeFile(Dir + "/r.pb/sel.log", Sel->data(), Sel->size()).isError());
+  R = runTool(formatString("ereplay %s/r.pb", Dir.c_str()));
+  EXPECT_EQ(R.ExitCode, 3) << R.Output;
+  R = runTool(formatString("esim -config gainestown8 %s/r.pb", Dir.c_str()));
+  EXPECT_EQ(R.ExitCode, 3) << R.Output;
+  EXPECT_NE(R.Output.find("esim: DIVERGENCE: EFAULT.REPLAY.DIVERGENCE: "
+                          "syscall divergence at record 0"),
+            std::string::npos)
+      << R.Output;
+  EXPECT_EQ(R.Output.find("instructions (ring3)"), std::string::npos)
+      << "a diverged simulation must print no stats: " << R.Output;
+}
+
 /// Extracts the line of \p Out containing \p Key ("" when absent).
 static std::string lineWith(const std::string &Out, const std::string &Key) {
   size_t P = Out.find(Key);
