@@ -12,128 +12,69 @@
 using namespace elfie;
 using namespace elfie::analyze;
 using namespace elfie::analyze::cfg;
+using isa::Form;
 using isa::Opcode;
 namespace sem = isa::sem;
 
 void cfg::applyInst(const isa::Inst &I, uint64_t PC, RegState &S) {
-  switch (I.Op) {
-  // No GPR effect.
-  case Opcode::Nop:
-  case Opcode::Fence:
-  case Opcode::Pause:
-  case Opcode::Halt:
-  case Opcode::Marker:
-  case Opcode::St1:
-  case Opcode::St2:
-  case Opcode::St4:
-  case Opcode::St8:
-  case Opcode::Beq:
-  case Opcode::Bne:
-  case Opcode::Blt:
-  case Opcode::Bge:
-  case Opcode::Bltu:
-  case Opcode::Bgeu:
-  case Opcode::Jmp:
-  // FPR-only effects (FPRs are not tracked).
-  case Opcode::Fadd:
-  case Opcode::Fsub:
-  case Opcode::Fmul:
-  case Opcode::Fdiv:
-  case Opcode::Fmin:
-  case Opcode::Fmax:
-  case Opcode::Fsqrt:
-  case Opcode::Fneg:
-  case Opcode::Fabs:
-  case Opcode::Fmov:
-  case Opcode::Fld:
-  case Opcode::Fst:
-  case Opcode::Fcvtid:
-  case Opcode::FmvToF:
+  switch (isa::opInfo(I.Op).F) {
+  // No GPR effect (FPRs are not tracked).
+  case Form::Marker:
+  case Form::Branch:
+  case Form::Jmp:
+  case Form::FdFs1Fs2:
+  case Form::FdFs:
+  case Form::FMem:
+  case Form::FdRs:
     return;
 
-  case Opcode::Syscall:
-    S.kill(isa::SysRetReg);
+  case Form::None:
+    if (I.Op == Opcode::Syscall)
+      S.kill(isa::SysRetReg);
     return;
 
-  // Register ALU.
-  case Opcode::Add:
-  case Opcode::Sub:
-  case Opcode::Mul:
-  case Opcode::Mulh:
-  case Opcode::Div:
-  case Opcode::Divu:
-  case Opcode::Rem:
-  case Opcode::Remu:
-  case Opcode::And:
-  case Opcode::Or:
-  case Opcode::Xor:
-  case Opcode::Shl:
-  case Opcode::Shr:
-  case Opcode::Sar:
-  case Opcode::Slt:
-  case Opcode::Sltu:
-  case Opcode::Seq:
+  case Form::RdRs1Rs2:
     if (S.known(I.Rs1) && S.known(I.Rs2))
       S.set(I.Rd, sem::evalInt(I.Op, S.get(I.Rs1), S.get(I.Rs2)));
     else
       S.kill(I.Rd);
     return;
-  case Opcode::Mov:
+  case Form::RdRs: // mov
     if (S.known(I.Rs1))
       S.set(I.Rd, S.get(I.Rs1));
     else
       S.kill(I.Rd);
     return;
-
-  // Immediate ALU.
-  case Opcode::Addi:
-  case Opcode::Muli:
-  case Opcode::Andi:
-  case Opcode::Ori:
-  case Opcode::Xori:
-  case Opcode::Shli:
-  case Opcode::Shri:
-  case Opcode::Sari:
-  case Opcode::Slti:
-  case Opcode::Sltui:
+  case Form::RdRs1Imm:
     if (S.known(I.Rs1))
       S.set(I.Rd, sem::evalInt(I.Op, S.get(I.Rs1), sem::sext(I.Imm)));
     else
       S.kill(I.Rd);
     return;
-  case Opcode::Ldi:
-    S.set(I.Rd, sem::sext(I.Imm));
-    return;
-  case Opcode::Ldih:
-    if (S.known(I.Rd))
+  case Form::RdImm:
+    if (I.Op == Opcode::Ldi)
+      S.set(I.Rd, sem::sext(I.Imm));
+    else if (S.known(I.Rd))
       S.set(I.Rd, sem::ldih(S.get(I.Rd), I.Imm));
     else
       S.kill(I.Rd);
     return;
 
-  // Loads and atomics produce memory-dependent values.
-  case Opcode::Ld1:
-  case Opcode::Ld2:
-  case Opcode::Ld4:
-  case Opcode::Ld8:
-  case Opcode::Ld1s:
-  case Opcode::Ld2s:
-  case Opcode::Ld4s:
-  case Opcode::AmoAdd:
-  case Opcode::AmoSwap:
-  case Opcode::Cas:
+  // Loads and atomics produce memory-dependent values; stores write none.
+  case Form::Mem:
+    if (isa::isLoad(I.Op))
+      S.kill(I.Rd);
+    return;
+  case Form::Atomic:
   // FP-to-GPR writes (FPRs are not tracked).
-  case Opcode::Feq:
-  case Opcode::Flt:
-  case Opcode::Fle:
-  case Opcode::Fcvtdi:
-  case Opcode::FmvToI:
+  case Form::RdFs1Fs2:
+  case Form::RdFs:
     S.kill(I.Rd);
     return;
 
   // Link writes: rd = PC + 8.
-  case Opcode::Jal:
-  case Opcode::Jalr:
+  case Form::Jal:
+  case Form::Jalr:
     S.set(I.Rd, PC + isa::InstSize);
     return;
   }

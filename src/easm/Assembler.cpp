@@ -296,11 +296,14 @@ Error Assembler::parseOperands(const std::string &Text,
       Ops.push_back(Op);
       continue;
     }
-    // Integer literal?
+    // Integer literal? Values above INT64_MAX keep their 64-bit pattern
+    // (e.g. the 0xffffffff00000000 that edisasm prints for ldih -1).
     int64_t V;
-    if (parseInt64(Tok, V)) {
+    uint64_t U;
+    bool Signed = parseInt64(Tok, V);
+    if (Signed || parseUInt64(Tok, U)) {
       Op.K = Operand::Imm;
-      Op.Value = V;
+      Op.Value = Signed ? V : static_cast<int64_t>(U);
       Ops.push_back(Op);
       continue;
     }
@@ -449,7 +452,6 @@ Error Assembler::processInstruction(const std::string &Mnemonic,
                                     std::vector<Operand> &Ops) {
   auto Need = [&](size_t N) { return Ops.size() == N; };
   auto IsIR = [&](size_t I) { return Ops[I].K == Operand::IntReg; };
-  auto IsFR = [&](size_t I) { return Ops[I].K == Operand::FpReg; };
   auto IsMem = [&](size_t I) { return Ops[I].K == Operand::Mem; };
   auto IsImmOrSym = [&](size_t I) {
     return Ops[I].K == Operand::Imm || Ops[I].K == Operand::Sym;
@@ -535,211 +537,134 @@ Error Assembler::processInstruction(const std::string &Mnemonic,
     return Error::success();
   }
 
-  // ---- Real instructions ----
+  // ---- Real instructions: the operand form fixes the syntax ----
   Opcode Op;
   if (!isa::opcodeFromName(M, Op))
     return fail(formatString("unknown mnemonic '%s'", M.c_str()));
+  auto Expects = [&](const char *Syntax) {
+    return fail(formatString("%s expects: %s", M.c_str(), Syntax));
+  };
+  PendingInst P = make(Op);
+  // Register-only forms: the operands fill rd, rs1, rs2 in order.
+  auto Regs = [&](std::initializer_list<Operand::Kind> Kinds) {
+    if (Ops.size() != Kinds.size())
+      return false;
+    uint8_t *Fields[] = {&P.Rd, &P.Rs1, &P.Rs2};
+    size_t I = 0;
+    for (Operand::Kind K : Kinds) {
+      if (Ops[I].K != K)
+        return false;
+      *Fields[I] = static_cast<uint8_t>(Ops[I].Reg);
+      ++I;
+    }
+    return true;
+  };
+  constexpr Operand::Kind IR = Operand::IntReg, FR = Operand::FpReg;
 
-  using isa::Opcode;
-  switch (Op) {
-  case Opcode::Nop:
-  case Opcode::Halt:
-  case Opcode::Syscall:
-  case Opcode::Fence:
-  case Opcode::Pause:
+  using isa::Form;
+  Form F = isa::opInfo(Op).F;
+  switch (F) {
+  case Form::None:
     if (!Need(0))
       return fail(formatString("%s takes no operands", M.c_str()));
-    emit(make(Op));
-    return Error::success();
-
-  case Opcode::Marker: {
+    break;
+  case Form::Marker:
     if (!Need(2) || Ops[0].K != Operand::Imm || Ops[1].K != Operand::Imm)
-      return fail("marker expects: kind, tag");
-    PendingInst P = make(Op, static_cast<uint8_t>(Ops[0].Value));
+      return Expects("kind, tag");
+    P.Rd = static_cast<uint8_t>(Ops[0].Value);
     P.ImmLiteral = Ops[1].Value;
-    emit(P);
-    return Error::success();
-  }
-
-  case Opcode::Add:
-  case Opcode::Sub:
-  case Opcode::Mul:
-  case Opcode::Mulh:
-  case Opcode::Div:
-  case Opcode::Divu:
-  case Opcode::Rem:
-  case Opcode::Remu:
-  case Opcode::And:
-  case Opcode::Or:
-  case Opcode::Xor:
-  case Opcode::Shl:
-  case Opcode::Shr:
-  case Opcode::Sar:
-  case Opcode::Slt:
-  case Opcode::Sltu:
-  case Opcode::Seq:
-    if (!Need(3) || !IsIR(0) || !IsIR(1) || !IsIR(2))
-      return fail(formatString("%s expects: rd, rs1, rs2", M.c_str()));
-    emit(make(Op, Ops[0].Reg, Ops[1].Reg, Ops[2].Reg));
-    return Error::success();
-
-  case Opcode::Mov:
-    if (!Need(2) || !IsIR(0) || !IsIR(1))
-      return fail("mov expects: rd, rs");
-    emit(make(Op, Ops[0].Reg, Ops[1].Reg));
-    return Error::success();
-
-  case Opcode::Addi:
-  case Opcode::Muli:
-  case Opcode::Andi:
-  case Opcode::Ori:
-  case Opcode::Xori:
-  case Opcode::Shli:
-  case Opcode::Shri:
-  case Opcode::Sari:
-  case Opcode::Slti:
-  case Opcode::Sltui: {
+    break;
+  case Form::RdRs1Rs2:
+    if (!Regs({IR, IR, IR}))
+      return Expects("rd, rs1, rs2");
+    break;
+  case Form::RdRs:
+    if (!Regs({IR, IR}))
+      return Expects("rd, rs");
+    break;
+  case Form::FdFs1Fs2:
+    if (!Regs({FR, FR, FR}))
+      return Expects("fd, fs1, fs2");
+    break;
+  case Form::FdFs:
+    if (!Regs({FR, FR}))
+      return Expects("fd, fs");
+    break;
+  case Form::RdFs1Fs2:
+    if (!Regs({IR, FR, FR}))
+      return Expects("rd, fs1, fs2");
+    break;
+  case Form::FdRs:
+    if (!Regs({FR, IR}))
+      return Expects("fd, rs");
+    break;
+  case Form::RdFs:
+    if (!Regs({IR, FR}))
+      return Expects("rd, fs");
+    break;
+  case Form::RdRs1Imm:
     if (!Need(3) || !IsIR(0) || !IsIR(1) || !IsImmOrSym(2))
-      return fail(formatString("%s expects: rd, rs1, imm", M.c_str()));
-    PendingInst P = make(Op, Ops[0].Reg, Ops[1].Reg);
+      return Expects("rd, rs1, imm");
+    P.Rd = Ops[0].Reg;
+    P.Rs1 = Ops[1].Reg;
     SetImm(P, Ops[2]);
-    emit(P);
-    return Error::success();
-  }
-
-  case Opcode::Ldi:
-  case Opcode::Ldih: {
+    break;
+  case Form::RdImm:
     if (!Need(2) || !IsIR(0) || !IsImmOrSym(1))
-      return fail(formatString("%s expects: rd, imm", M.c_str()));
-    PendingInst P = make(Op, Ops[0].Reg);
+      return Expects("rd, imm");
+    P.Rd = Ops[0].Reg;
     SetImm(P, Ops[1]);
-    if (Op == Opcode::Ldih)
-      P.ImmIsHigh32 = true;
-    emit(P);
-    return Error::success();
+    P.ImmIsHigh32 = Op == Opcode::Ldih;
+    break;
+  case Form::Mem:
+  case Form::FMem: {
+    bool FP = F == Form::FMem;
+    if (!Need(2) || Ops[0].K != (FP ? FR : IR) || !IsMem(1))
+      return Expects(FP ? "freg, disp(base)" : "reg, disp(base)");
+    P.Rd = Ops[0].Reg;
+    P.Rs1 = Ops[1].Reg;
+    P.ImmLiteral = Ops[1].Value;
+    break;
   }
-
-  case Opcode::Ld1:
-  case Opcode::Ld2:
-  case Opcode::Ld4:
-  case Opcode::Ld8:
-  case Opcode::Ld1s:
-  case Opcode::Ld2s:
-  case Opcode::Ld4s:
-  case Opcode::St1:
-  case Opcode::St2:
-  case Opcode::St4:
-  case Opcode::St8:
-    if (!Need(2) || !IsIR(0) || !IsMem(1))
-      return fail(formatString("%s expects: reg, disp(base)", M.c_str()));
-    emit(make(Op, Ops[0].Reg, Ops[1].Reg, 0, Ops[1].Value));
-    return Error::success();
-
-  case Opcode::Beq:
-  case Opcode::Bne:
-  case Opcode::Blt:
-  case Opcode::Bge:
-  case Opcode::Bltu:
-  case Opcode::Bgeu: {
+  case Form::Branch:
     if (!Need(3) || !IsIR(0) || !IsIR(1) || !IsImmOrSym(2))
-      return fail(formatString("%s expects: rs1, rs2, target", M.c_str()));
-    PendingInst P = make(Op, 0, Ops[0].Reg, Ops[1].Reg);
-    SetImm(P, Ops[2], true);
-    emit(P);
-    return Error::success();
-  }
-
-  case Opcode::Jmp: {
+      return Expects("rs1, rs2, target");
+    P.Rs1 = Ops[0].Reg;
+    P.Rs2 = Ops[1].Reg;
+    SetImm(P, Ops[2], /*BranchTarget=*/true);
+    break;
+  case Form::Jmp:
     if (!Need(1) || !IsImmOrSym(0))
-      return fail("jmp expects a target");
-    PendingInst P = make(Op);
-    SetImm(P, Ops[0], true);
-    emit(P);
-    return Error::success();
-  }
-
-  case Opcode::Jal: {
+      return Expects("target");
+    SetImm(P, Ops[0], /*BranchTarget=*/true);
+    break;
+  case Form::Jal:
     if (!Need(2) || !IsIR(0) || !IsImmOrSym(1))
-      return fail("jal expects: rd, target");
-    PendingInst P = make(Op, Ops[0].Reg);
-    SetImm(P, Ops[1], true);
-    emit(P);
-    return Error::success();
-  }
-
-  case Opcode::Jalr: {
-    if (Ops.size() == 2 && IsIR(0) && IsIR(1)) {
-      emit(make(Op, Ops[0].Reg, Ops[1].Reg));
-      return Error::success();
-    }
-    if (!Need(3) || !IsIR(0) || !IsIR(1) || !IsImmOrSym(2))
-      return fail("jalr expects: rd, rs1[, imm]");
-    PendingInst P = make(Op, Ops[0].Reg, Ops[1].Reg);
-    SetImm(P, Ops[2]);
-    emit(P);
-    return Error::success();
-  }
-
-  case Opcode::AmoAdd:
-  case Opcode::AmoSwap:
-  case Opcode::Cas:
+      return Expects("rd, target");
+    P.Rd = Ops[0].Reg;
+    SetImm(P, Ops[1], /*BranchTarget=*/true);
+    break;
+  case Form::Jalr:
+    if ((!Need(2) && !Need(3)) || !IsIR(0) || !IsIR(1) ||
+        (Need(3) && !IsImmOrSym(2)))
+      return Expects("rd, rs1[, imm]");
+    P.Rd = Ops[0].Reg;
+    P.Rs1 = Ops[1].Reg;
+    if (Need(3))
+      SetImm(P, Ops[2]);
+    break;
+  case Form::Atomic:
     if (!Need(3) || !IsIR(0) || !IsMem(1) || !IsIR(2))
-      return fail(formatString("%s expects: rd, (addr), rs2", M.c_str()));
+      return Expects("rd, (addr), rs2");
     if (Ops[1].Value != 0)
       return fail("atomic operations take an undisplaced (reg) address");
-    emit(make(Op, Ops[0].Reg, Ops[1].Reg, Ops[2].Reg));
-    return Error::success();
-
-  case Opcode::Fadd:
-  case Opcode::Fsub:
-  case Opcode::Fmul:
-  case Opcode::Fdiv:
-  case Opcode::Fmin:
-  case Opcode::Fmax:
-    if (!Need(3) || !IsFR(0) || !IsFR(1) || !IsFR(2))
-      return fail(formatString("%s expects: fd, fs1, fs2", M.c_str()));
-    emit(make(Op, Ops[0].Reg, Ops[1].Reg, Ops[2].Reg));
-    return Error::success();
-
-  case Opcode::Fsqrt:
-  case Opcode::Fneg:
-  case Opcode::Fabs:
-  case Opcode::Fmov:
-    if (!Need(2) || !IsFR(0) || !IsFR(1))
-      return fail(formatString("%s expects: fd, fs", M.c_str()));
-    emit(make(Op, Ops[0].Reg, Ops[1].Reg));
-    return Error::success();
-
-  case Opcode::Feq:
-  case Opcode::Flt:
-  case Opcode::Fle:
-    if (!Need(3) || !IsIR(0) || !IsFR(1) || !IsFR(2))
-      return fail(formatString("%s expects: rd, fs1, fs2", M.c_str()));
-    emit(make(Op, Ops[0].Reg, Ops[1].Reg, Ops[2].Reg));
-    return Error::success();
-
-  case Opcode::Fld:
-  case Opcode::Fst:
-    if (!Need(2) || !IsFR(0) || !IsMem(1))
-      return fail(formatString("%s expects: freg, disp(base)", M.c_str()));
-    emit(make(Op, Ops[0].Reg, Ops[1].Reg, 0, Ops[1].Value));
-    return Error::success();
-
-  case Opcode::Fcvtid:
-  case Opcode::FmvToF:
-    if (!Need(2) || !IsFR(0) || !IsIR(1))
-      return fail(formatString("%s expects: fd, rs", M.c_str()));
-    emit(make(Op, Ops[0].Reg, Ops[1].Reg));
-    return Error::success();
-
-  case Opcode::Fcvtdi:
-  case Opcode::FmvToI:
-    if (!Need(2) || !IsIR(0) || !IsFR(1))
-      return fail(formatString("%s expects: rd, fs", M.c_str()));
-    emit(make(Op, Ops[0].Reg, Ops[1].Reg));
-    return Error::success();
+    P.Rd = Ops[0].Reg;
+    P.Rs1 = Ops[1].Reg;
+    P.Rs2 = Ops[2].Reg;
+    break;
   }
-  return fail(formatString("unhandled mnemonic '%s'", M.c_str()));
+  emit(P);
+  return Error::success();
 }
 
 Error Assembler::resolveLayout() {

@@ -10,81 +10,9 @@
 #include "support/Format.h"
 
 #include <cstring>
-#include <map>
 
 using namespace elfie;
 using namespace elfie::isa;
-
-namespace {
-
-struct OpInfo {
-  Opcode Op;
-  const char *Name;
-};
-
-// Every valid opcode, exactly once. The decoder and the assembler mnemonic
-// table are both driven from this list so they can never disagree.
-constexpr OpInfo OpTable[] = {
-    {Opcode::Nop, "nop"},         {Opcode::Halt, "halt"},
-    {Opcode::Marker, "marker"},   {Opcode::Syscall, "syscall"},
-    {Opcode::Fence, "fence"},     {Opcode::Pause, "pause"},
-    {Opcode::Add, "add"},         {Opcode::Sub, "sub"},
-    {Opcode::Mul, "mul"},         {Opcode::Mulh, "mulh"},
-    {Opcode::Div, "div"},         {Opcode::Divu, "divu"},
-    {Opcode::Rem, "rem"},         {Opcode::Remu, "remu"},
-    {Opcode::And, "and"},         {Opcode::Or, "or"},
-    {Opcode::Xor, "xor"},         {Opcode::Shl, "shl"},
-    {Opcode::Shr, "shr"},         {Opcode::Sar, "sar"},
-    {Opcode::Slt, "slt"},         {Opcode::Sltu, "sltu"},
-    {Opcode::Seq, "seq"},         {Opcode::Mov, "mov"},
-    {Opcode::Addi, "addi"},       {Opcode::Muli, "muli"},
-    {Opcode::Andi, "andi"},       {Opcode::Ori, "ori"},
-    {Opcode::Xori, "xori"},       {Opcode::Shli, "shli"},
-    {Opcode::Shri, "shri"},       {Opcode::Sari, "sari"},
-    {Opcode::Slti, "slti"},       {Opcode::Sltui, "sltui"},
-    {Opcode::Ldi, "ldi"},         {Opcode::Ldih, "ldih"},
-    {Opcode::Ld1, "ld1"},         {Opcode::Ld2, "ld2"},
-    {Opcode::Ld4, "ld4"},         {Opcode::Ld8, "ld8"},
-    {Opcode::Ld1s, "ld1s"},       {Opcode::Ld2s, "ld2s"},
-    {Opcode::Ld4s, "ld4s"},       {Opcode::St1, "st1"},
-    {Opcode::St2, "st2"},         {Opcode::St4, "st4"},
-    {Opcode::St8, "st8"},         {Opcode::Beq, "beq"},
-    {Opcode::Bne, "bne"},         {Opcode::Blt, "blt"},
-    {Opcode::Bge, "bge"},         {Opcode::Bltu, "bltu"},
-    {Opcode::Bgeu, "bgeu"},       {Opcode::Jmp, "jmp"},
-    {Opcode::Jal, "jal"},         {Opcode::Jalr, "jalr"},
-    {Opcode::AmoAdd, "amoadd"},   {Opcode::AmoSwap, "amoswap"},
-    {Opcode::Cas, "cas"},         {Opcode::Fadd, "fadd"},
-    {Opcode::Fsub, "fsub"},       {Opcode::Fmul, "fmul"},
-    {Opcode::Fdiv, "fdiv"},       {Opcode::Fmin, "fmin"},
-    {Opcode::Fmax, "fmax"},       {Opcode::Fsqrt, "fsqrt"},
-    {Opcode::Fneg, "fneg"},       {Opcode::Fabs, "fabs"},
-    {Opcode::Fmov, "fmov"},       {Opcode::Feq, "feq"},
-    {Opcode::Flt, "flt"},         {Opcode::Fle, "fle"},
-    {Opcode::Fld, "fld"},         {Opcode::Fst, "fst"},
-    {Opcode::Fcvtid, "fcvtid"},   {Opcode::Fcvtdi, "fcvtdi"},
-    {Opcode::FmvToF, "fmvtof"},   {Opcode::FmvToI, "fmvtoi"},
-};
-
-bool ValidOpcodes[256] = {};
-const char *OpcodeNames[256] = {};
-
-struct TableInit {
-  TableInit() {
-    for (const OpInfo &I : OpTable) {
-      ValidOpcodes[static_cast<uint8_t>(I.Op)] = true;
-      OpcodeNames[static_cast<uint8_t>(I.Op)] = I.Name;
-    }
-  }
-};
-// Function-local static avoids the static-constructor ban for globals with
-// nontrivial construction while keeping lookup O(1).
-const TableInit &tables() {
-  static TableInit T;
-  return T;
-}
-
-} // namespace
 
 uint64_t isa::encode(const Inst &I) {
   uint64_t W = 0;
@@ -94,11 +22,6 @@ uint64_t isa::encode(const Inst &I) {
   W |= static_cast<uint64_t>(I.Rs2) << 24;
   W |= static_cast<uint64_t>(static_cast<uint32_t>(I.Imm)) << 32;
   return W;
-}
-
-bool isa::isValidOpcode(uint8_t Op) {
-  tables();
-  return ValidOpcodes[Op];
 }
 
 bool isa::decode(uint64_t Word, Inst &Out) {
@@ -126,96 +49,7 @@ bool isa::decode(const uint8_t *Bytes, Inst &Out) {
   return decode(W, Out);
 }
 
-bool isa::isBranch(Opcode Op) {
-  switch (Op) {
-  case Opcode::Beq:
-  case Opcode::Bne:
-  case Opcode::Blt:
-  case Opcode::Bge:
-  case Opcode::Bltu:
-  case Opcode::Bgeu:
-    return true;
-  default:
-    return false;
-  }
-}
-
-bool isa::isControlFlow(Opcode Op) {
-  if (isBranch(Op))
-    return true;
-  switch (Op) {
-  case Opcode::Jmp:
-  case Opcode::Jal:
-  case Opcode::Jalr:
-  case Opcode::Halt:
-    return true;
-  default:
-    return false;
-  }
-}
-
-bool isa::isBlockTerminator(Opcode Op) {
-  return isControlFlow(Op) || Op == Opcode::Syscall || Op == Opcode::Marker;
-}
-
-bool isa::isLoad(Opcode Op) {
-  switch (Op) {
-  case Opcode::Ld1:
-  case Opcode::Ld2:
-  case Opcode::Ld4:
-  case Opcode::Ld8:
-  case Opcode::Ld1s:
-  case Opcode::Ld2s:
-  case Opcode::Ld4s:
-  case Opcode::Fld:
-    return true;
-  default:
-    return false;
-  }
-}
-
-bool isa::isStore(Opcode Op) {
-  switch (Op) {
-  case Opcode::St1:
-  case Opcode::St2:
-  case Opcode::St4:
-  case Opcode::St8:
-  case Opcode::Fst:
-    return true;
-  default:
-    return false;
-  }
-}
-
-bool isa::isAtomic(Opcode Op) {
-  switch (Op) {
-  case Opcode::AmoAdd:
-  case Opcode::AmoSwap:
-  case Opcode::Cas:
-    return true;
-  default:
-    return false;
-  }
-}
-
-bool isa::isMemoryAccess(Opcode Op) {
-  return isLoad(Op) || isStore(Op) || isAtomic(Op);
-}
-
-bool isa::isFloatingPoint(Opcode Op) {
-  uint8_t V = static_cast<uint8_t>(Op);
-  return V >= static_cast<uint8_t>(Opcode::Fadd) &&
-         V <= static_cast<uint8_t>(Opcode::FmvToI);
-}
-
-const char *isa::opcodeName(Opcode Op) {
-  tables();
-  const char *Name = OpcodeNames[static_cast<uint8_t>(Op)];
-  return Name ? Name : "<bad>";
-}
-
 bool isa::opcodeFromName(const std::string &Name, Opcode &Out) {
-  tables();
   for (const OpInfo &I : OpTable) {
     if (Name == I.Name) {
       Out = I.Op;
@@ -238,127 +72,66 @@ std::string isa::gprName(unsigned Reg) {
 std::string isa::fprName(unsigned Reg) { return formatString("f%u", Reg); }
 
 std::string isa::disassemble(const Inst &I, uint64_t PC) {
-  const char *Name = opcodeName(I.Op);
-  auto Rd = [&] { return gprName(I.Rd); };
-  auto Rs1 = [&] { return gprName(I.Rs1); };
-  auto Rs2 = [&] { return gprName(I.Rs2); };
-  auto Fd = [&] { return fprName(I.Rd); };
-  auto Fs1 = [&] { return fprName(I.Rs1); };
-  auto Fs2 = [&] { return fprName(I.Rs2); };
-  auto Target = [&] {
-    return toHex(PC + static_cast<int64_t>(I.Imm));
+  const OpInfo &Info = opInfo(I.Op);
+  if (!Info.Name)
+    return "<bad>";
+  auto Text = [&](std::initializer_list<std::string> Ops) {
+    std::string S = Info.Name;
+    const char *Sep = " ";
+    for (const std::string &Op : Ops) {
+      S += Sep;
+      S += Op;
+      Sep = ", ";
+    }
+    return S;
   };
+  std::string Imm = std::to_string(I.Imm);
+  std::string Disp = Imm + "(" + gprName(I.Rs1) + ")";
+  std::string Target = toHex(PC + static_cast<int64_t>(I.Imm));
 
-  switch (I.Op) {
-  case Opcode::Nop:
-  case Opcode::Halt:
-  case Opcode::Syscall:
-  case Opcode::Fence:
-  case Opcode::Pause:
-    return Name;
-  case Opcode::Marker:
-    return formatString("marker %u, %d", I.Rd, I.Imm);
-  case Opcode::Add:
-  case Opcode::Sub:
-  case Opcode::Mul:
-  case Opcode::Mulh:
-  case Opcode::Div:
-  case Opcode::Divu:
-  case Opcode::Rem:
-  case Opcode::Remu:
-  case Opcode::And:
-  case Opcode::Or:
-  case Opcode::Xor:
-  case Opcode::Shl:
-  case Opcode::Shr:
-  case Opcode::Sar:
-  case Opcode::Slt:
-  case Opcode::Sltu:
-  case Opcode::Seq:
-    return formatString("%s %s, %s, %s", Name, Rd().c_str(), Rs1().c_str(),
-                        Rs2().c_str());
-  case Opcode::Mov:
-    return formatString("mov %s, %s", Rd().c_str(), Rs1().c_str());
-  case Opcode::Addi:
-  case Opcode::Muli:
-  case Opcode::Andi:
-  case Opcode::Ori:
-  case Opcode::Xori:
-  case Opcode::Shli:
-  case Opcode::Shri:
-  case Opcode::Sari:
-  case Opcode::Slti:
-  case Opcode::Sltui:
-    return formatString("%s %s, %s, %d", Name, Rd().c_str(), Rs1().c_str(),
-                        I.Imm);
-  case Opcode::Ldi:
-  case Opcode::Ldih:
-    return formatString("%s %s, %d", Name, Rd().c_str(), I.Imm);
-  case Opcode::Ld1:
-  case Opcode::Ld2:
-  case Opcode::Ld4:
-  case Opcode::Ld8:
-  case Opcode::Ld1s:
-  case Opcode::Ld2s:
-  case Opcode::Ld4s:
-    return formatString("%s %s, %d(%s)", Name, Rd().c_str(), I.Imm,
-                        Rs1().c_str());
-  case Opcode::St1:
-  case Opcode::St2:
-  case Opcode::St4:
-  case Opcode::St8:
-    return formatString("%s %s, %d(%s)", Name, Rd().c_str(), I.Imm,
-                        Rs1().c_str());
-  case Opcode::Beq:
-  case Opcode::Bne:
-  case Opcode::Blt:
-  case Opcode::Bge:
-  case Opcode::Bltu:
-  case Opcode::Bgeu:
-    return formatString("%s %s, %s, %s", Name, Rs1().c_str(), Rs2().c_str(),
-                        Target().c_str());
-  case Opcode::Jmp:
-    return formatString("jmp %s", Target().c_str());
-  case Opcode::Jal:
-    return formatString("jal %s, %s", Rd().c_str(), Target().c_str());
-  case Opcode::Jalr:
-    return formatString("jalr %s, %s, %d", Rd().c_str(), Rs1().c_str(),
-                        I.Imm);
-  case Opcode::AmoAdd:
-  case Opcode::AmoSwap:
-  case Opcode::Cas:
-    return formatString("%s %s, (%s), %s", Name, Rd().c_str(), Rs1().c_str(),
-                        Rs2().c_str());
-  case Opcode::Fadd:
-  case Opcode::Fsub:
-  case Opcode::Fmul:
-  case Opcode::Fdiv:
-  case Opcode::Fmin:
-  case Opcode::Fmax:
-    return formatString("%s %s, %s, %s", Name, Fd().c_str(), Fs1().c_str(),
-                        Fs2().c_str());
-  case Opcode::Fsqrt:
-  case Opcode::Fneg:
-  case Opcode::Fabs:
-  case Opcode::Fmov:
-    return formatString("%s %s, %s", Name, Fd().c_str(), Fs1().c_str());
-  case Opcode::Feq:
-  case Opcode::Flt:
-  case Opcode::Fle:
-    return formatString("%s %s, %s, %s", Name, Rd().c_str(), Fs1().c_str(),
-                        Fs2().c_str());
-  case Opcode::Fld:
-    return formatString("fld %s, %d(%s)", Fd().c_str(), I.Imm, Rs1().c_str());
-  case Opcode::Fst:
-    return formatString("fst %s, %d(%s)", Fd().c_str(), I.Imm, Rs1().c_str());
-  case Opcode::Fcvtid:
-    return formatString("fcvtid %s, %s", Fd().c_str(), Rs1().c_str());
-  case Opcode::Fcvtdi:
-    return formatString("fcvtdi %s, %s", Rd().c_str(), Fs1().c_str());
-  case Opcode::FmvToF:
-    return formatString("fmvtof %s, %s", Fd().c_str(), Rs1().c_str());
-  case Opcode::FmvToI:
-    return formatString("fmvtoi %s, %s", Rd().c_str(), Fs1().c_str());
+  switch (Info.F) {
+  case Form::None:
+    return Text({});
+  case Form::Marker:
+    return Text({std::to_string(I.Rd), Imm});
+  case Form::RdRs1Rs2:
+    return Text({gprName(I.Rd), gprName(I.Rs1), gprName(I.Rs2)});
+  case Form::RdRs:
+    return Text({gprName(I.Rd), gprName(I.Rs1)});
+  case Form::RdRs1Imm:
+    return Text({gprName(I.Rd), gprName(I.Rs1), Imm});
+  case Form::RdImm:
+    // ldih shows the 64-bit value whose high half it loads, which is the
+    // operand the assembler takes back.
+    if (I.Op == Opcode::Ldih)
+      return Text({gprName(I.Rd),
+                   toHex(static_cast<uint64_t>(static_cast<uint32_t>(I.Imm))
+                         << 32)});
+    return Text({gprName(I.Rd), Imm});
+  case Form::Mem:
+    return Text({gprName(I.Rd), Disp});
+  case Form::Branch:
+    return Text({gprName(I.Rs1), gprName(I.Rs2), Target});
+  case Form::Jmp:
+    return Text({Target});
+  case Form::Jal:
+    return Text({gprName(I.Rd), Target});
+  case Form::Jalr:
+    return Text({gprName(I.Rd), gprName(I.Rs1), Imm});
+  case Form::Atomic:
+    return Text({gprName(I.Rd), "(" + gprName(I.Rs1) + ")", gprName(I.Rs2)});
+  case Form::FdFs1Fs2:
+    return Text({fprName(I.Rd), fprName(I.Rs1), fprName(I.Rs2)});
+  case Form::FdFs:
+    return Text({fprName(I.Rd), fprName(I.Rs1)});
+  case Form::RdFs1Fs2:
+    return Text({gprName(I.Rd), fprName(I.Rs1), fprName(I.Rs2)});
+  case Form::FMem:
+    return Text({fprName(I.Rd), Disp});
+  case Form::FdRs:
+    return Text({fprName(I.Rd), gprName(I.Rs1)});
+  case Form::RdFs:
+    return Text({gprName(I.Rd), fprName(I.Rs1)});
   }
   return "<bad>";
 }

@@ -32,6 +32,7 @@
 #ifndef ELFIE_ISA_ISA_H
 #define ELFIE_ISA_ISA_H
 
+#include <array>
 #include <cstdint>
 #include <string>
 
@@ -225,24 +226,185 @@ bool decode(uint64_t Word, Inst &Out);
 /// Decodes from a byte pointer (little-endian).
 bool decode(const uint8_t *Bytes, Inst &Out);
 
-/// True when \p Op is a valid EG64 opcode value.
-bool isValidOpcode(uint8_t Op);
+/// Operand form: which instruction fields an opcode uses and how assembly
+/// text spells them. The assembler, the disassembler and the dataflow
+/// folder switch on the form instead of listing opcodes.
+enum class Form : uint8_t {
+  None,     ///< nop
+  Marker,   ///< marker kind, tag (kind in the rd field)
+  RdRs1Rs2, ///< add rd, rs1, rs2
+  RdRs,     ///< mov rd, rs
+  RdRs1Imm, ///< addi rd, rs1, imm
+  RdImm,    ///< ldi rd, imm
+  Mem,      ///< ld8 rd, imm(rs1)
+  Branch,   ///< beq rs1, rs2, target
+  Jmp,      ///< jmp target
+  Jal,      ///< jal rd, target
+  Jalr,     ///< jalr rd, rs1, imm
+  Atomic,   ///< amoadd rd, (rs1), rs2
+  FdFs1Fs2, ///< fadd fd, fs1, fs2
+  FdFs,     ///< fsqrt fd, fs
+  RdFs1Fs2, ///< feq rd, fs1, fs2
+  FMem,     ///< fld fd, imm(rs1)
+  FdRs,     ///< fcvtid fd, rs
+  RdFs,     ///< fcvtdi rd, fs
+};
 
-/// Instruction classification used by the logger, the simulators, and the
-/// translator.
-bool isBranch(Opcode Op);       ///< conditional branches only
-bool isControlFlow(Opcode Op);  ///< branches + jumps + jal/jalr + halt
+/// Opcode class bits.
+enum OpClass : uint8_t {
+  ClassBranch = 1 << 0, ///< conditional branch
+  ClassJump = 1 << 1,   ///< jmp, jal, jalr
+  ClassHalt = 1 << 2,
+  ClassLoad = 1 << 3,
+  ClassStore = 1 << 4,
+  ClassAtomic = 1 << 5,
+  ClassFP = 1 << 6,
+  ClassSigned = 1 << 7, ///< sign-extending load
+};
+
+/// One opcode's shape.
+struct OpInfo {
+  Opcode Op;
+  const char *Name; ///< mnemonic; null marks an invalid opcode byte
+  Form F;
+  uint8_t Class;    ///< OpClass bits
+  uint8_t Size;     ///< bytes a load, store or atomic accesses; else 0
+};
+
+/// Every valid opcode, exactly once. Adding an opcode means adding its row
+/// here plus its semantic cases (VM::execDecoded, x86 lowering, and
+/// sem::evalInt or the CFG successor switch where they apply).
+inline constexpr OpInfo OpTable[] = {
+    {Opcode::Nop, "nop", Form::None, 0, 0},
+    {Opcode::Halt, "halt", Form::None, ClassHalt, 0},
+    {Opcode::Marker, "marker", Form::Marker, 0, 0},
+    {Opcode::Syscall, "syscall", Form::None, 0, 0},
+    {Opcode::Fence, "fence", Form::None, 0, 0},
+    {Opcode::Pause, "pause", Form::None, 0, 0},
+    {Opcode::Add, "add", Form::RdRs1Rs2, 0, 0},
+    {Opcode::Sub, "sub", Form::RdRs1Rs2, 0, 0},
+    {Opcode::Mul, "mul", Form::RdRs1Rs2, 0, 0},
+    {Opcode::Mulh, "mulh", Form::RdRs1Rs2, 0, 0},
+    {Opcode::Div, "div", Form::RdRs1Rs2, 0, 0},
+    {Opcode::Divu, "divu", Form::RdRs1Rs2, 0, 0},
+    {Opcode::Rem, "rem", Form::RdRs1Rs2, 0, 0},
+    {Opcode::Remu, "remu", Form::RdRs1Rs2, 0, 0},
+    {Opcode::And, "and", Form::RdRs1Rs2, 0, 0},
+    {Opcode::Or, "or", Form::RdRs1Rs2, 0, 0},
+    {Opcode::Xor, "xor", Form::RdRs1Rs2, 0, 0},
+    {Opcode::Shl, "shl", Form::RdRs1Rs2, 0, 0},
+    {Opcode::Shr, "shr", Form::RdRs1Rs2, 0, 0},
+    {Opcode::Sar, "sar", Form::RdRs1Rs2, 0, 0},
+    {Opcode::Slt, "slt", Form::RdRs1Rs2, 0, 0},
+    {Opcode::Sltu, "sltu", Form::RdRs1Rs2, 0, 0},
+    {Opcode::Seq, "seq", Form::RdRs1Rs2, 0, 0},
+    {Opcode::Mov, "mov", Form::RdRs, 0, 0},
+    {Opcode::Addi, "addi", Form::RdRs1Imm, 0, 0},
+    {Opcode::Muli, "muli", Form::RdRs1Imm, 0, 0},
+    {Opcode::Andi, "andi", Form::RdRs1Imm, 0, 0},
+    {Opcode::Ori, "ori", Form::RdRs1Imm, 0, 0},
+    {Opcode::Xori, "xori", Form::RdRs1Imm, 0, 0},
+    {Opcode::Shli, "shli", Form::RdRs1Imm, 0, 0},
+    {Opcode::Shri, "shri", Form::RdRs1Imm, 0, 0},
+    {Opcode::Sari, "sari", Form::RdRs1Imm, 0, 0},
+    {Opcode::Slti, "slti", Form::RdRs1Imm, 0, 0},
+    {Opcode::Sltui, "sltui", Form::RdRs1Imm, 0, 0},
+    {Opcode::Ldi, "ldi", Form::RdImm, 0, 0},
+    {Opcode::Ldih, "ldih", Form::RdImm, 0, 0},
+    {Opcode::Ld1, "ld1", Form::Mem, ClassLoad, 1},
+    {Opcode::Ld2, "ld2", Form::Mem, ClassLoad, 2},
+    {Opcode::Ld4, "ld4", Form::Mem, ClassLoad, 4},
+    {Opcode::Ld8, "ld8", Form::Mem, ClassLoad, 8},
+    {Opcode::Ld1s, "ld1s", Form::Mem, ClassLoad | ClassSigned, 1},
+    {Opcode::Ld2s, "ld2s", Form::Mem, ClassLoad | ClassSigned, 2},
+    {Opcode::Ld4s, "ld4s", Form::Mem, ClassLoad | ClassSigned, 4},
+    {Opcode::St1, "st1", Form::Mem, ClassStore, 1},
+    {Opcode::St2, "st2", Form::Mem, ClassStore, 2},
+    {Opcode::St4, "st4", Form::Mem, ClassStore, 4},
+    {Opcode::St8, "st8", Form::Mem, ClassStore, 8},
+    {Opcode::Beq, "beq", Form::Branch, ClassBranch, 0},
+    {Opcode::Bne, "bne", Form::Branch, ClassBranch, 0},
+    {Opcode::Blt, "blt", Form::Branch, ClassBranch, 0},
+    {Opcode::Bge, "bge", Form::Branch, ClassBranch, 0},
+    {Opcode::Bltu, "bltu", Form::Branch, ClassBranch, 0},
+    {Opcode::Bgeu, "bgeu", Form::Branch, ClassBranch, 0},
+    {Opcode::Jmp, "jmp", Form::Jmp, ClassJump, 0},
+    {Opcode::Jal, "jal", Form::Jal, ClassJump, 0},
+    {Opcode::Jalr, "jalr", Form::Jalr, ClassJump, 0},
+    {Opcode::AmoAdd, "amoadd", Form::Atomic, ClassAtomic, 8},
+    {Opcode::AmoSwap, "amoswap", Form::Atomic, ClassAtomic, 8},
+    {Opcode::Cas, "cas", Form::Atomic, ClassAtomic, 8},
+    {Opcode::Fadd, "fadd", Form::FdFs1Fs2, ClassFP, 0},
+    {Opcode::Fsub, "fsub", Form::FdFs1Fs2, ClassFP, 0},
+    {Opcode::Fmul, "fmul", Form::FdFs1Fs2, ClassFP, 0},
+    {Opcode::Fdiv, "fdiv", Form::FdFs1Fs2, ClassFP, 0},
+    {Opcode::Fmin, "fmin", Form::FdFs1Fs2, ClassFP, 0},
+    {Opcode::Fmax, "fmax", Form::FdFs1Fs2, ClassFP, 0},
+    {Opcode::Fsqrt, "fsqrt", Form::FdFs, ClassFP, 0},
+    {Opcode::Fneg, "fneg", Form::FdFs, ClassFP, 0},
+    {Opcode::Fabs, "fabs", Form::FdFs, ClassFP, 0},
+    {Opcode::Fmov, "fmov", Form::FdFs, ClassFP, 0},
+    {Opcode::Feq, "feq", Form::RdFs1Fs2, ClassFP, 0},
+    {Opcode::Flt, "flt", Form::RdFs1Fs2, ClassFP, 0},
+    {Opcode::Fle, "fle", Form::RdFs1Fs2, ClassFP, 0},
+    {Opcode::Fld, "fld", Form::FMem, ClassFP | ClassLoad, 8},
+    {Opcode::Fst, "fst", Form::FMem, ClassFP | ClassStore, 8},
+    {Opcode::Fcvtid, "fcvtid", Form::FdRs, ClassFP, 0},
+    {Opcode::Fcvtdi, "fcvtdi", Form::RdFs, ClassFP, 0},
+    {Opcode::FmvToF, "fmvtof", Form::FdRs, ClassFP, 0},
+    {Opcode::FmvToI, "fmvtoi", Form::RdFs, ClassFP, 0},
+};
+
+namespace detail {
+/// OpTable indexed by opcode byte; unlisted bytes keep a null Name.
+constexpr std::array<OpInfo, 256> indexOpTable() {
+  std::array<OpInfo, 256> Index{};
+  for (const OpInfo &Row : OpTable)
+    Index[static_cast<uint8_t>(Row.Op)] = Row;
+  return Index;
+}
+inline constexpr std::array<OpInfo, 256> OpIndex = indexOpTable();
+} // namespace detail
+
+/// The table row of \p Op (Name is null for an invalid opcode).
+constexpr const OpInfo &opInfo(Opcode Op) {
+  return detail::OpIndex[static_cast<uint8_t>(Op)];
+}
+
+/// True when \p Op is a valid EG64 opcode value.
+constexpr bool isValidOpcode(uint8_t Op) {
+  return detail::OpIndex[Op].Name != nullptr;
+}
+
+// Instruction classification used by the logger, the simulators, and the
+// translator: all of it reads the class bits.
+
+/// Conditional branches only.
+constexpr bool isBranch(Opcode Op) { return opInfo(Op).Class & ClassBranch; }
+/// Branches, jumps (jmp/jal/jalr) and halt.
+constexpr bool isControlFlow(Opcode Op) {
+  return opInfo(Op).Class & (ClassBranch | ClassJump | ClassHalt);
+}
 /// True when \p Op must terminate a decoded straight-line block (the EVM's
 /// decode cache): control flow (incl. halt), syscalls, and markers.
-bool isBlockTerminator(Opcode Op);
-bool isMemoryAccess(Opcode Op); ///< loads/stores/atomics (incl. FP)
-bool isLoad(Opcode Op);
-bool isStore(Opcode Op);
-bool isAtomic(Opcode Op);
-bool isFloatingPoint(Opcode Op);
+constexpr bool isBlockTerminator(Opcode Op) {
+  return isControlFlow(Op) || Op == Opcode::Syscall || Op == Opcode::Marker;
+}
+constexpr bool isLoad(Opcode Op) { return opInfo(Op).Class & ClassLoad; }
+constexpr bool isStore(Opcode Op) { return opInfo(Op).Class & ClassStore; }
+constexpr bool isAtomic(Opcode Op) { return opInfo(Op).Class & ClassAtomic; }
+/// Loads, stores and atomics (FP loads and stores included).
+constexpr bool isMemoryAccess(Opcode Op) {
+  return opInfo(Op).Class & (ClassLoad | ClassStore | ClassAtomic);
+}
+constexpr bool isFloatingPoint(Opcode Op) {
+  return opInfo(Op).Class & ClassFP;
+}
 
 /// Mnemonic for \p Op ("add", "ld8", ...). Unknown opcodes yield "<bad>".
-const char *opcodeName(Opcode Op);
+constexpr const char *opcodeName(Opcode Op) {
+  return opInfo(Op).Name ? opInfo(Op).Name : "<bad>";
+}
 
 /// Looks up an opcode by mnemonic; returns false when unknown.
 bool opcodeFromName(const std::string &Name, Opcode &Out);

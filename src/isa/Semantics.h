@@ -12,9 +12,10 @@
 /// fmin/fmax, and the saturating fcvtdi. The EVM interpreter (one case per
 /// opcode in VM::execDecoded) and the dataflow folder (through evalInt)
 /// both call these, so a constant the folder claims is the value the
-/// interpreter computes. The x86 lowering of the same rules lives once in
-/// x86/Lowering.cpp; the translator differential tests hold the two
-/// definitions equal. See DESIGN.md §4.
+/// interpreter computes; load widths and signedness are read from the
+/// opcode table in isa/ISA.h. The x86 lowering of the same rules lives
+/// once in x86/Lowering.cpp; the translator differential tests hold the
+/// two definitions equal. See DESIGN.md §4.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -145,36 +146,11 @@ constexpr uint64_t evalInt(Opcode Op, uint64_t A, uint64_t B) {
 }
 
 /// Bytes a load, store or atomic accesses; 0 for every other opcode.
-constexpr unsigned accessSize(Opcode Op) {
-  switch (Op) {
-  case Opcode::Ld1:
-  case Opcode::Ld1s:
-  case Opcode::St1:
-    return 1;
-  case Opcode::Ld2:
-  case Opcode::Ld2s:
-  case Opcode::St2:
-    return 2;
-  case Opcode::Ld4:
-  case Opcode::Ld4s:
-  case Opcode::St4:
-    return 4;
-  case Opcode::Ld8:
-  case Opcode::St8:
-  case Opcode::Fld:
-  case Opcode::Fst:
-  case Opcode::AmoAdd:
-  case Opcode::AmoSwap:
-  case Opcode::Cas:
-    return 8;
-  default:
-    return 0;
-  }
-}
+constexpr unsigned accessSize(Opcode Op) { return opInfo(Op).Size; }
 
 /// True for the sign-extending loads (ld1s/ld2s/ld4s).
 constexpr bool isSignedLoad(Opcode Op) {
-  return Op == Opcode::Ld1s || Op == Opcode::Ld2s || Op == Opcode::Ld4s;
+  return opInfo(Op).Class & ClassSigned;
 }
 
 /// Widens the \p Size-byte value \p Raw (upper bytes zero) to 64 bits.

@@ -12,6 +12,7 @@
 #include "sched/Classify.h"
 #include "sched/Quarantine.h"
 #include "store/Artifact.h"
+#include "support/CommandLine.h"
 #include "support/FileIO.h"
 #include "support/Format.h"
 #include "support/Json.h"
@@ -31,6 +32,46 @@ static volatile sig_atomic_t DrainFlag = 0;
 void elfie::sched::requestDrain() { DrainFlag = 1; }
 bool elfie::sched::drainRequested() { return DrainFlag != 0; }
 void elfie::sched::resetDrain() { DrainFlag = 0; }
+
+void elfie::sched::addFleetFlags(CommandLine &CL, const std::string &Tool) {
+  CL.addString("bindir", "",
+               "directory holding the driven tools (default: " + Tool +
+                   "'s own directory)");
+  CL.addInt("workers", 4,
+            "max concurrent jobs (efleetd: across all campaigns)");
+  CL.addInt("retries", 5, "max attempts per job (manifest !retries= "
+                          "overrides per job)");
+  CL.addInt("backoff-ms", 200, "base retry backoff in milliseconds");
+  CL.addInt("backoff-max-ms", 5000, "backoff cap in milliseconds");
+  CL.addInt("seed", 0, "seed for the deterministic backoff jitter");
+  CL.addInt("timeout", 0,
+            "per-job timeout override in seconds (0 = budget-scaled from "
+            "the target pinball, like the native watchdog)");
+  CL.addInt("grace", 5,
+            "drain grace period in seconds before running jobs are killed");
+  CL.addString("store", "",
+               "estore pool root backing estore://<artifact> targets "
+               "(materialized digest-verified before jobs launch)");
+  CL.addFlag("verbose", false, "narrate attempts, retries, and timeouts");
+}
+
+Error elfie::sched::readFleetFlags(const CommandLine &CL, const char *Argv0,
+                                   FleetOptions &Out) {
+  Out.BinDir = CL.getString("bindir").empty() ? selfBinDir(Argv0)
+                                              : CL.getString("bindir");
+  Out.Workers = static_cast<uint32_t>(CL.getInt("workers"));
+  Out.Retries = static_cast<uint32_t>(CL.getInt("retries"));
+  Out.BackoffBaseMs = static_cast<uint64_t>(CL.getInt("backoff-ms"));
+  Out.BackoffCapMs = static_cast<uint64_t>(CL.getInt("backoff-max-ms"));
+  Out.Seed = static_cast<uint64_t>(CL.getInt("seed"));
+  Out.TimeoutSecs = static_cast<uint64_t>(CL.getInt("timeout"));
+  Out.GraceSecs = static_cast<uint64_t>(CL.getInt("grace"));
+  Out.StoreRoot = CL.getString("store");
+  Out.Verbose = CL.getFlag("verbose");
+  if (Out.Workers == 0 || Out.Retries == 0)
+    return makeError("-workers and -retries must be >= 1");
+  return Error::success();
+}
 
 /// Runtime state of one manifest job.
 struct FleetEngine::JobState {

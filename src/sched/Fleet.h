@@ -42,6 +42,8 @@
 #include <vector>
 
 namespace elfie {
+class CommandLine;
+
 namespace sched {
 
 /// Campaign-wide knobs (per-job manifest attributes override some).
@@ -78,6 +80,17 @@ struct FleetOptions {
   /// (which the daemon's admission control answers with `busy DISK`).
   std::string StoreRoot;
 };
+
+/// Registers the campaign flags efleet and efleetd share: -bindir
+/// -workers -retries -backoff-ms -backoff-max-ms -seed -timeout -grace
+/// -store -verbose. \p Tool names the binary in the -bindir help.
+void addFleetFlags(CommandLine &CL, const std::string &Tool);
+
+/// Reads the flags addFleetFlags() registered into \p Out; an empty
+/// -bindir means the directory of \p Argv0. Fails when -workers or
+/// -retries is 0.
+Error readFleetFlags(const CommandLine &CL, const char *Argv0,
+                     FleetOptions &Out);
 
 /// End-of-run accounting (also derivable from the journal).
 struct FleetSummary {

@@ -207,20 +207,10 @@ Expected<Service::Campaign *> Service::openCampaign(const std::string &Ns,
   C->Key = Ns + "/" + Id;
   C->Dir = campaignDir(Ns, Id);
 
-  FleetOptions FO;
-  FO.BinDir = Opts.BinDir;
+  FleetOptions FO = Opts.Fleet;
   FO.OutDir = C->Dir;
-  FO.Workers = Opts.Workers;
-  FO.Retries = Opts.Retries;
-  FO.BackoffBaseMs = Opts.BackoffBaseMs;
-  FO.BackoffCapMs = Opts.BackoffCapMs;
-  FO.Seed = mixSeed(Opts.Seed, C->Key);
-  FO.TimeoutSecs = Opts.TimeoutSecs;
-  FO.DefaultTimeoutSecs = Opts.DefaultTimeoutSecs;
-  FO.GraceSecs = Opts.GraceSecs;
+  FO.Seed = mixSeed(Opts.Fleet.Seed, C->Key);
   FO.Tag = "efleetd[" + C->Key + "]";
-  FO.Verbose = Opts.Verbose;
-  FO.StoreRoot = Opts.StoreRoot;
 
   C->Engine = std::make_unique<FleetEngine>(std::move(Plan), std::move(FO));
   Campaign *Raw = C.get();
@@ -570,8 +560,8 @@ void Service::stepCampaigns() {
     TotalRunning += C->Engine->runningCount();
 
   for (auto &C : Campaigns) {
-    uint32_t Budget =
-        Opts.Workers > TotalRunning ? Opts.Workers - TotalRunning : 0;
+    uint32_t Workers = Opts.Fleet.Workers;
+    uint32_t Budget = Workers > TotalRunning ? Workers - TotalRunning : 0;
     uint32_t Before = C->Engine->runningCount();
     if (Error E = C->Engine->step(Now, Budget)) {
       if (isDiskPressureError(E)) {

@@ -65,27 +65,16 @@ struct ServiceOptions {
   std::string Root;
   /// Socket path override (empty = <Root>/efleetd.sock).
   std::string SocketPath;
-  /// Directory holding the driven tools (ereplay, everify, ...).
-  std::string BinDir;
-  /// Global concurrent worker-subprocess budget across all campaigns.
-  uint32_t Workers = 4;
+  /// Defaults for every campaign engine. Workers is the global concurrent
+  /// worker-subprocess budget across all campaigns; each engine gets its
+  /// own OutDir, Tag and a Seed mixed with its campaign key. PollMs is
+  /// unused: the daemon's event loop runs at ServiceOptions::PollMs.
+  FleetOptions Fleet;
   QuotaLimits Quotas;
   /// Event-loop poll cadence (also the scheduler tick).
   uint64_t PollMs = 20;
-  /// Fleet defaults forwarded to every campaign engine.
-  uint32_t Retries = 5;
-  uint64_t TimeoutSecs = 0;
-  uint64_t DefaultTimeoutSecs = 120;
-  uint64_t GraceSecs = 5;
-  uint64_t BackoffBaseMs = 200;
-  uint64_t BackoffCapMs = 5000;
-  uint64_t Seed = 0;
   /// Cadence of the disk-recovery probe while admission is paused.
   uint64_t DiskProbeMs = 500;
-  bool Verbose = false;
-  /// estore pool root backing estore:// campaign targets (see
-  /// FleetOptions::StoreRoot). Empty disables store-backed targets.
-  std::string StoreRoot;
 };
 
 /// The daemon core. Lifecycle: construct, init() (lock + recover + listen),

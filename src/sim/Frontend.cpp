@@ -115,22 +115,26 @@ public:
       Engine->setObserver(this);
   }
 
-  /// The shared result path. A failed sidecar save, a replay that left
-  /// its log (the numbers would describe some other execution) and a
-  /// faulted guest all fail the simulation.
+  /// The shared result path. A replay that left its log (the numbers
+  /// would describe some other execution) and a faulted guest fail the
+  /// simulation; only a run that succeeds publishes the sidecar encoded at
+  /// the boundary, so a failed run leaves none behind.
   Expected<SimResult> finish(vm::StopReason Reason, const vm::Fault &Fault,
                              const std::string &Divergence,
                              const vm::DecodeCacheStats &VMStats,
                              const vm::MemStats &MemStats,
                              const vm::JitStats &JitStats) {
-    if (BoundaryErr.isError())
-      return BoundaryErr;
     if (!Divergence.empty())
       return makeCodedError("EFAULT.REPLAY.DIVERGENCE", "%s",
                             Divergence.c_str());
     if (Reason == vm::StopReason::Faulted)
       return makeError("simulated program faulted: %s",
                        Fault.Message.c_str());
+    if (!PendingState.empty()) {
+      if (Error E = writeSimState(Controls.SaveStatePath, PendingState))
+        return E;
+      Out.StateSaved = true;
+    }
     Out.Stats = Model.stats();
     Out.Reason = Reason;
     Out.VMStats = VMStats;
@@ -141,8 +145,6 @@ public:
 
   void onInstruction(const vm::ThreadState &T, uint64_t PC,
                      const isa::Inst &I) override {
-    if (BoundaryErr.isError())
-      return;
     unsigned Core = T.Tid % NumCores;
     LastOp[Core] = I.Op;
     ++TotalSeen;
@@ -159,8 +161,6 @@ public:
       // instruction: none of this instruction's events have reached the
       // model yet, so the save and the resume land on the same state.
       crossBoundary();
-      if (BoundaryErr.isError())
-        return;
     }
     Model.instruction(Core, PC, I);
     ++Out.RoiRetired;
@@ -175,8 +175,6 @@ public:
 
   void onMemoryAccess(uint32_t Tid, uint64_t Addr, uint32_t Size,
                       bool IsWrite) override {
-    if (BoundaryErr.isError())
-      return;
     if (Ph == Phase::Detailed)
       Model.memoryAccess(Tid % NumCores, Addr, Size, IsWrite);
     else if (Ph == Phase::Warming)
@@ -185,8 +183,6 @@ public:
 
   void onControlTransfer(uint32_t Tid, uint64_t FromPC, uint64_t ToPC,
                          bool Taken) override {
-    if (BoundaryErr.isError())
-      return;
     if (Ph != Phase::Detailed && Ph != Phase::Warming)
       return;
     unsigned Core = Tid % NumCores;
@@ -208,7 +204,7 @@ public:
     // Warming deliberately skips the synthetic kernel: handlers charge
     // stats, and the checkpoint must hold exactly the state a cold
     // warming phase produces.
-    if (BoundaryErr.isError() || Ph != Phase::Detailed)
+    if (Ph != Phase::Detailed)
       return;
     Model.syscall(Tid % NumCores, Nr);
   }
@@ -225,8 +221,9 @@ private:
       Engine->requestStop();
   }
 
-  /// Records the checkpoint index and, in save mode, serializes the
-  /// sidecar. Loads are not boundary work: setUp() already applied it.
+  /// Records the checkpoint index and, in save mode, encodes the sidecar
+  /// for finish() to publish. Loads are not boundary work: setUp() already
+  /// applied it.
   void crossBoundary() {
     Ph = Phase::Detailed;
     // onInstruction fires before its instruction retires, so the global
@@ -244,11 +241,7 @@ private:
     Meta.CheckpointRetired = Out.CheckpointRetired;
     Meta.DetailedBudget =
         Controls.MaxInstructions == UINT64_MAX ? 0 : Controls.MaxInstructions;
-    BoundaryErr = saveSimState(Controls.SaveStatePath, Meta, Model);
-    if (BoundaryErr.isError())
-      requestStop();
-    else
-      Out.StateSaved = true;
+    PendingState = encodeSimState(Meta, Model);
   }
 
   const MachineConfig &Machine;
@@ -259,7 +252,8 @@ private:
   Phase PostMarker = Phase::Detailed;
   uint64_t TotalSeen = 0;
   uint64_t StopPCHits = 0;
-  Error BoundaryErr;
+  /// The sidecar encoded at the boundary, awaiting a successful finish().
+  std::vector<uint8_t> PendingState;
   unsigned NumCores = Machine.NumCores;
   /// The opcode each core retired last, for classifying its next control
   /// transfer.

@@ -58,7 +58,9 @@ struct RunControls {
   /// symbol when present, else 0.
   uint64_t WarmupInstructions = UINT64_MAX;
   /// When set, serialize the model into this .esimstate sidecar at the
-  /// warming -> detailed boundary (DESIGN.md §16).
+  /// warming -> detailed boundary (DESIGN.md §16). The file is written
+  /// only when the simulation succeeds: a diverged or faulted run leaves
+  /// none.
   std::string SaveStatePath;
   /// When set, skip warming and restore the model from this sidecar at
   /// the boundary instead; loads fail closed with EFAULT.SIMSTATE.*.

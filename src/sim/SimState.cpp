@@ -89,8 +89,8 @@ std::string sim::simStatePathFor(std::string InputPath) {
   return InputPath + ".esimstate";
 }
 
-Error sim::saveSimState(const std::string &Path, const SimStateMeta &Meta,
-                        const TimingModel &Model) {
+std::vector<uint8_t> sim::encodeSimState(const SimStateMeta &Meta,
+                                         const TimingModel &Model) {
   BinaryWriter W;
   W.writeRaw(SimStateMagic, sizeof(SimStateMagic));
   W.writeU32(SimStateFormatVersion);
@@ -124,7 +124,12 @@ Error sim::saveSimState(const std::string &Path, const SimStateMeta &Meta,
 
   Sha256Digest Seal = Sha256::digest(W.bytes().data(), W.size());
   W.writeRaw(Seal.Bytes.data(), Seal.Bytes.size());
-  return writeFileAtomic(Path, W.bytes().data(), W.size())
+  return W.bytes();
+}
+
+Error sim::writeSimState(const std::string &Path,
+                         const std::vector<uint8_t> &Bytes) {
+  return writeFileAtomic(Path, Bytes.data(), Bytes.size())
       .withContext("writing warmup checkpoint '" + Path + "'");
 }
 

@@ -70,10 +70,14 @@ struct SimStateMeta {
 /// trailing '/' (pinball directories) stripped first.
 std::string simStatePathFor(std::string InputPath);
 
-/// Serializes \p Model's components under \p Meta and atomically writes
-/// the sealed sidecar to \p Path.
-Error saveSimState(const std::string &Path, const SimStateMeta &Meta,
-                   const TimingModel &Model);
+/// Serializes \p Model's components under \p Meta into the sealed sidecar
+/// bytes.
+std::vector<uint8_t> encodeSimState(const SimStateMeta &Meta,
+                                    const TimingModel &Model);
+
+/// Atomically writes sidecar \p Bytes from encodeSimState() to \p Path.
+Error writeSimState(const std::string &Path,
+                    const std::vector<uint8_t> &Bytes);
 
 /// Validates \p Path against \p Machine and \p InputDigest and applies the
 /// component states to \p Model. Fails closed (EFAULT.SIMSTATE.*) without

@@ -21,7 +21,6 @@
 #include "support/FileIO.h"
 #include "support/Format.h"
 #include "support/SocketIO.h"
-#include "support/Subprocess.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -189,28 +188,11 @@ int main(int Argc, char **Argv) {
                "campaign state root (journal.jsonl, logs/, quarantine/, "
                "artifacts/); an existing journal there resumes the "
                "campaign");
-  CL.addString("bindir", "",
-               "directory holding the driven tools (default: efleet's own "
-               "directory)");
-  CL.addInt("workers", 4, "max concurrent jobs");
-  CL.addInt("retries", 5, "max attempts per job (manifest !retries= "
-                          "overrides per job)");
-  CL.addInt("backoff-ms", 200, "base retry backoff in milliseconds");
-  CL.addInt("backoff-max-ms", 5000, "backoff cap in milliseconds");
-  CL.addInt("seed", 0, "seed for the deterministic backoff jitter");
-  CL.addInt("timeout", 0,
-            "per-job timeout override in seconds (0 = budget-scaled from "
-            "the target pinball, like the native watchdog)");
-  CL.addInt("grace", 5,
-            "drain grace period in seconds before running jobs are killed");
+  addFleetFlags(CL, "efleet");
   CL.addFlag("json", false, "print the summary as one JSON line on stdout");
-  CL.addFlag("verbose", false, "narrate attempts, retries, and timeouts");
   CL.addString("connect", "",
                "client mode: talk to the efleetd at this socket "
                "(ping|submit|status|stream|cancel|shutdown)");
-  CL.addString("store", "",
-               "estore pool root backing estore://<artifact> targets "
-               "(materialized digest-verified before jobs launch)");
   exitOnError(CL.parse(Argc, Argv));
   if (!CL.getString("connect").empty())
     return runClient(CL.getString("connect"), CL.positional());
@@ -229,19 +211,8 @@ int main(int Argc, char **Argv) {
 
   FleetOptions Opts;
   Opts.OutDir = CL.getString("out");
-  Opts.BinDir = CL.getString("bindir").empty() ? selfBinDir(Argv[0])
-                                               : CL.getString("bindir");
-  Opts.Workers = static_cast<uint32_t>(CL.getInt("workers"));
-  Opts.Retries = static_cast<uint32_t>(CL.getInt("retries"));
-  Opts.BackoffBaseMs = static_cast<uint64_t>(CL.getInt("backoff-ms"));
-  Opts.BackoffCapMs = static_cast<uint64_t>(CL.getInt("backoff-max-ms"));
-  Opts.Seed = static_cast<uint64_t>(CL.getInt("seed"));
-  Opts.TimeoutSecs = static_cast<uint64_t>(CL.getInt("timeout"));
-  Opts.GraceSecs = static_cast<uint64_t>(CL.getInt("grace"));
-  Opts.Verbose = CL.getFlag("verbose");
-  Opts.StoreRoot = CL.getString("store");
-  if (Opts.Workers == 0 || Opts.Retries == 0) {
-    std::fprintf(stderr, "efleet: -workers and -retries must be >= 1\n");
+  if (Error E = readFleetFlags(CL, Argv[0], Opts)) {
+    std::fprintf(stderr, "efleet: %s\n", E.message().c_str());
     return ExitUsage;
   }
 

@@ -17,7 +17,6 @@
 #include "fault/FaultPlan.h"
 #include "sched/Service.h"
 #include "support/CommandLine.h"
-#include "support/Subprocess.h"
 
 #include <cstdio>
 #include <cstring>
@@ -39,26 +38,12 @@ int main(int Argc, char **Argv) {
                "state root (socket, lock, and ns/<ns>/<campaign>/ state "
                "live here); existing campaigns resume on start");
   CL.addString("socket", "", "socket path (default: <root>/efleetd.sock)");
-  CL.addString("bindir", "",
-               "directory holding the driven tools (default: efleetd's "
-               "own directory)");
-  CL.addInt("workers", 4, "global concurrent worker budget");
+  addFleetFlags(CL, "efleetd");
   CL.addInt("max-campaigns", 8, "active-campaign quota per namespace");
   CL.addInt("max-jobs", 4096, "non-terminal-job quota per namespace");
-  CL.addInt("retries", 5, "default max attempts per job");
-  CL.addInt("backoff-ms", 200, "base retry backoff in milliseconds");
-  CL.addInt("backoff-max-ms", 5000, "backoff cap in milliseconds");
-  CL.addInt("seed", 0, "seed for deterministic backoff jitter");
-  CL.addInt("timeout", 0,
-            "per-job timeout override in seconds (0 = budget-scaled)");
-  CL.addInt("grace", 5, "drain grace period in seconds");
   CL.addInt("poll-ms", 20, "event-loop poll cadence in milliseconds");
   CL.addInt("probe-ms", 500,
             "disk-recovery probe cadence while admission is paused");
-  CL.addString("store", "",
-               "estore pool root backing estore://<artifact> campaign "
-               "targets (materialized digest-verified at campaign start)");
-  CL.addFlag("verbose", false, "narrate engine activity");
   exitOnError(CL.parse(Argc, Argv));
   if (!CL.positional().empty()) {
     std::fprintf(stderr, "usage: efleetd [options]\n");
@@ -73,26 +58,15 @@ int main(int Argc, char **Argv) {
   ServiceOptions Opts;
   Opts.Root = CL.getString("root");
   Opts.SocketPath = CL.getString("socket");
-  Opts.BinDir = CL.getString("bindir").empty() ? selfBinDir(Argv[0])
-                                               : CL.getString("bindir");
-  Opts.Workers = static_cast<uint32_t>(CL.getInt("workers"));
+  if (Error E = readFleetFlags(CL, Argv[0], Opts.Fleet)) {
+    std::fprintf(stderr, "efleetd: %s\n", E.message().c_str());
+    return ExitUsage;
+  }
   Opts.Quotas.MaxCampaigns =
       static_cast<uint32_t>(CL.getInt("max-campaigns"));
   Opts.Quotas.MaxJobs = static_cast<uint64_t>(CL.getInt("max-jobs"));
-  Opts.Retries = static_cast<uint32_t>(CL.getInt("retries"));
-  Opts.BackoffBaseMs = static_cast<uint64_t>(CL.getInt("backoff-ms"));
-  Opts.BackoffCapMs = static_cast<uint64_t>(CL.getInt("backoff-max-ms"));
-  Opts.Seed = static_cast<uint64_t>(CL.getInt("seed"));
-  Opts.TimeoutSecs = static_cast<uint64_t>(CL.getInt("timeout"));
-  Opts.GraceSecs = static_cast<uint64_t>(CL.getInt("grace"));
   Opts.PollMs = static_cast<uint64_t>(CL.getInt("poll-ms"));
   Opts.DiskProbeMs = static_cast<uint64_t>(CL.getInt("probe-ms"));
-  Opts.StoreRoot = CL.getString("store");
-  Opts.Verbose = CL.getFlag("verbose");
-  if (Opts.Workers == 0 || Opts.Retries == 0) {
-    std::fprintf(stderr, "efleetd: -workers and -retries must be >= 1\n");
-    return ExitUsage;
-  }
 
   // SIGINT/SIGTERM request a graceful drain (concurrent deliveries
   // collapse into one idempotent flag); SIGPIPE is ignored inside

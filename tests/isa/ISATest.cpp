@@ -7,6 +7,8 @@
 
 #include "isa/ISA.h"
 
+#include "easm/Assembler.h"
+#include "support/Format.h"
 #include "support/RNG.h"
 
 #include <gtest/gtest.h>
@@ -64,6 +66,15 @@ TEST(ISA, OpcodeNamesRoundTrip) {
     ASSERT_TRUE(opcodeFromName(Name, Back)) << Name;
     EXPECT_EQ(Back, Op) << Name;
   }
+}
+
+TEST(ISA, OpTableListsEachOpcodeOnce) {
+  size_t Valid = 0;
+  for (unsigned V = 0; V < 256; ++V)
+    Valid += isValidOpcode(static_cast<uint8_t>(V));
+  EXPECT_EQ(Valid, std::size(OpTable));
+  for (const OpInfo &Row : OpTable)
+    EXPECT_STREQ(opInfo(Row.Op).Name, Row.Name);
 }
 
 TEST(ISA, Classification) {
@@ -144,6 +155,85 @@ TEST_P(ISARoundTrip, RandomInstructions) {
     EXPECT_EQ(I, Out);
     // Disassembly of a valid instruction never says "<bad>".
     EXPECT_EQ(disassemble(Out, 0x10000).find("<bad>"), std::string::npos);
+  }
+}
+
+/// A random instruction of \p Row's opcode that sets only the fields its
+/// form uses; branch displacements stay 8-byte aligned.
+Inst randomInstOfForm(const OpInfo &Row, RNG &R) {
+  auto Reg = [&] { return static_cast<uint8_t>(R.nextBelow(NumGPRs)); };
+  auto Imm = [&] { return static_cast<int32_t>(R.next()); };
+  auto Disp = [&] { return static_cast<int32_t>(R.next() & ~7ull); };
+  Inst I;
+  I.Op = Row.Op;
+  switch (Row.F) {
+  case Form::None:
+    break;
+  case Form::Marker:
+    I.Rd = static_cast<uint8_t>(R.nextBelow(256));
+    I.Imm = Imm();
+    break;
+  case Form::RdRs1Rs2:
+  case Form::Atomic:
+  case Form::FdFs1Fs2:
+  case Form::RdFs1Fs2:
+    I.Rd = Reg();
+    I.Rs1 = Reg();
+    I.Rs2 = Reg();
+    break;
+  case Form::RdRs:
+  case Form::FdFs:
+  case Form::FdRs:
+  case Form::RdFs:
+    I.Rd = Reg();
+    I.Rs1 = Reg();
+    break;
+  case Form::RdRs1Imm:
+  case Form::Mem:
+  case Form::Jalr:
+  case Form::FMem:
+    I.Rd = Reg();
+    I.Rs1 = Reg();
+    I.Imm = Imm();
+    break;
+  case Form::RdImm:
+    I.Rd = Reg();
+    I.Imm = Imm();
+    break;
+  case Form::Branch:
+    I.Rs1 = Reg();
+    I.Rs2 = Reg();
+    I.Imm = Disp();
+    break;
+  case Form::Jmp:
+    I.Imm = Disp();
+    break;
+  case Form::Jal:
+    I.Rd = Reg();
+    I.Imm = Disp();
+    break;
+  }
+  return I;
+}
+
+// Property: disassembly is assembly. For every opcode, the text
+// disassemble() prints at PC assembles at PC back to the same word.
+TEST_P(ISARoundTrip, DisassemblyReassembles) {
+  RNG R(GetParam());
+  const uint64_t PC = 0x100000000;
+  for (const OpInfo &Row : OpTable) {
+    for (int N = 0; N < 32; ++N) {
+      Inst I = randomInstOfForm(Row, R);
+      std::string Text = disassemble(I, PC);
+      auto P = easm::assembleString(
+          formatString(".org %#llx\n  %s\n",
+                       static_cast<unsigned long long>(PC), Text.c_str()),
+          "roundtrip.s");
+      ASSERT_TRUE(P.hasValue()) << Text << ": " << P.message();
+      Inst Back;
+      ASSERT_TRUE(decode(P->Sections[0].Data.data(), Back)) << Text;
+      EXPECT_EQ(encode(Back), encode(I)) << Text;
+    }
   }
 }
 

@@ -371,7 +371,7 @@ struct SidecarFixture {
     Meta = testMeta(Machine);
     TimingModel Model(Machine);
     trainModel(Model);
-    Error E = saveSimState(Path, Meta, Model);
+    Error E = writeSimState(Path, encodeSimState(Meta, Model));
     EXPECT_FALSE(E.isError()) << E.str();
   }
 
@@ -396,7 +396,8 @@ TEST(SimStateFile, RoundTripRestoresEveryComponent) {
   // Re-serializing the restored model under the same meta must reproduce
   // the sidecar byte for byte.
   std::string Path2 = F.Dir + "/resaved.esimstate";
-  ASSERT_FALSE(saveSimState(Path2, *Meta, Restored).isError());
+  ASSERT_FALSE(
+      writeSimState(Path2, encodeSimState(*Meta, Restored)).isError());
   auto A = readFileBytes(F.Path);
   auto B = readFileBytes(Path2);
   ASSERT_TRUE(A.hasValue() && B.hasValue());
@@ -654,6 +655,26 @@ TEST(CheckpointIdentity, PinballUnconstrainedMT) {
   Controls.WarmupInstructions = 4000;
   expectPinballIdentity(*PB, makeGainestown8(), /*Constrained=*/false,
                         Controls, Dir + "/pb.esimstate");
+}
+
+TEST(CheckpointIdentity, DivergedPinballSaveLeavesNoSidecar) {
+  std::string Dir = tempDir("pbdivsave");
+  auto PB = test::capture(Dir, test::clockProgram(), 3000, 10000,
+                          pinball::LoggerOptions::fat());
+  ASSERT_TRUE(PB.hasValue()) << PB.message();
+  ASSERT_FALSE(PB->Syscalls.empty());
+  // With no warming the boundary is the region's first instruction; the
+  // replay then executes a syscall the log does not record. The failed run
+  // must not publish the checkpoint it encoded at the boundary.
+  PB->Syscalls[0].Nr += 1;
+  RunControls Controls;
+  Controls.WarmupInstructions = 0;
+  Controls.SaveStatePath = Dir + "/pb.esimstate";
+  auto R = simulatePinball(*PB, makeGainestown8(), /*Constrained=*/true,
+                           Controls);
+  ASSERT_FALSE(R.hasValue());
+  EXPECT_EQ(R.error().code(), "EFAULT.REPLAY.DIVERGENCE") << R.message();
+  EXPECT_FALSE(fileExists(Controls.SaveStatePath));
 }
 
 TEST(CheckpointIdentity, ResumeRejectsDifferentInput) {
