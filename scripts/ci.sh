@@ -7,8 +7,9 @@
 # Runs the tier-1 verify in three configurations:
 #   1. default build        -> full ctest suite
 #   2. sanitized build      -> full ctest suite under ELFIE_SANITIZE
-#   3. TSan build           -> the multi-threaded replay/JIT suites under
-#                              -fsanitize=thread (data-race detection)
+#   3. TSan build           -> the multi-threaded replay/JIT and store
+#                              suites under -fsanitize=thread (data-race
+#                              detection)
 # then invokes the JIT lockstep acceptance suite standalone via its ctest
 # label (`ctest -L jit`), so a JIT regression is called out by name even
 # when the full suites already covered it, and finishes with a non-fatal
@@ -49,13 +50,14 @@ run_pass "sanitize=$SAN" "$ROOT/sanitize" 240 "-DELFIE_SANITIZE=$SAN"
 
 # Pass 3: data-race detection. TSan cannot combine with ASan, so it gets
 # its own tree; the race surface is the multi-threaded capture/replay/JIT
-# machinery, so run those suites rather than the full matrix.
+# machinery and the store's threaded artifact reassembly, so run those
+# suites rather than the full matrix.
 echo "==== [tsan] configure + build ===="
 cmake -B "$ROOT/tsan" -S "$REPO" -DELFIE_SANITIZE=thread
 cmake --build "$ROOT/tsan" -j "$JOBS"
-echo "==== [tsan] MT replay/JIT suites ===="
+echo "==== [tsan] MT replay/JIT and store suites ===="
 ctest --test-dir "$ROOT/tsan" -j "$JOBS" --timeout 360 \
-  -R 'Jit|Replay|DecodeCache|MultiThread|Thread|Clone|Atomic' \
+  -R 'Jit|Replay|DecodeCache|MultiThread|Thread|Clone|Atomic|Store|Artifact|ReadChunkInto' \
   --output-on-failure
 
 # JIT acceptance suite standalone (all trees carry the label).

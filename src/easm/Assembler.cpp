@@ -571,6 +571,9 @@ Error Assembler::processInstruction(const std::string &Mnemonic,
   case Form::Marker:
     if (!Need(2) || Ops[0].K != Operand::Imm || Ops[1].K != Operand::Imm)
       return Expects("kind, tag");
+    if (Ops[0].Value < 0 || Ops[0].Value > UINT8_MAX)
+      return fail(formatString("marker kind %lld out of 8-bit range",
+                               static_cast<long long>(Ops[0].Value)));
     P.Rd = static_cast<uint8_t>(Ops[0].Value);
     P.ImmLiteral = Ops[1].Value;
     break;

@@ -11,8 +11,12 @@
 #include "support/FileIO.h"
 
 #include <algorithm>
+#include <atomic>
 #include <map>
+#include <memory>
 #include <set>
+#include <system_error>
+#include <thread>
 
 using namespace elfie;
 using namespace elfie::elf;
@@ -132,35 +136,117 @@ Expected<Manifest> elfie::store::putArtifact(ChunkStore &S,
 
 namespace {
 
-/// Reassembles \p M: each distinct digest is read and verified once, in
-/// place at its first offset; repeats copy the verified bytes.
-Expected<std::vector<uint8_t>> assemble(const ChunkStore &S,
-                                        const Manifest &M) {
-  std::vector<uint8_t> Out(M.Size);
+/// Chunk reads per batch: the unit a reader claims and publishes.
+constexpr size_t ReadBatch = 64;
+
+/// Reader threads besides the caller, at most.
+constexpr unsigned MaxHelpers = 3;
+
+/// A batch's published outcome.
+enum BatchState : uint32_t { Pending, Done, Failed };
+
+/// Reassembles \p M into \p Out (M.Size bytes) in one pipelined pass
+/// (DESIGN.md §15.2). The offset-order walk plans the reads: the first
+/// reference of each digest is read in place, later ones copy its verified
+/// bytes. A repeat of another size cannot match the chunk file: it is read
+/// again, which reports the size mismatch. Helpers and the caller claim
+/// batches of reads in offset order; the caller follows behind them,
+/// copying repeats and hashing the whole artifact as it goes. Under an I/O
+/// fault hook there are no helpers, so the hook sees a serial walk's reads.
+Error assembleInto(const ChunkStore &S, const Manifest &M,
+                   std::span<uint8_t> Out) {
+  std::vector<const ChunkRef *> CopyOf(M.Chunks.size()); // null: read
+  std::vector<const ChunkRef *> Reads;
   std::map<Sha256Digest, const ChunkRef *> First;
-  for (const ChunkRef &C : M.Chunks) {
-    std::span<uint8_t> Dst(Out.data() + C.Offset, C.Size);
+  for (size_t I = 0; I < M.Chunks.size(); ++I) {
+    const ChunkRef &C = M.Chunks[I];
     auto [It, New] = First.try_emplace(C.Digest, &C);
-    // A repeat of another size cannot match the chunk file: re-reading it
-    // reports the size mismatch.
-    if (!New && It->second->Size == C.Size) {
-      std::copy_n(Out.data() + It->second->Offset, C.Size, Dst.data());
-      continue;
+    if (!New && It->second->Size == C.Size)
+      CopyOf[I] = It->second;
+    else
+      Reads.push_back(&C);
+  }
+
+  size_t Batches = (Reads.size() + ReadBatch - 1) / ReadBatch;
+  std::vector<std::atomic<uint32_t>> State(Batches); // all Pending
+  std::vector<Error> Failure(Batches);
+  std::atomic<size_t> NextBatch = 0;
+  std::atomic<bool> Abandon = false;
+
+  // The worker body: claims the next batch, reads its chunks into place
+  // and publishes the outcome. A batch stops at its first failing read,
+  // and a failure abandons every batch not yet claimed: they all lie
+  // after it. Returns false when there is nothing left to claim.
+  auto RunBatch = [&] {
+    if (Abandon)
+      return false;
+    size_t B = NextBatch++;
+    if (B >= Batches)
+      return false;
+    uint32_t Outcome = Done;
+    size_t End = std::min(Reads.size(), (B + 1) * ReadBatch);
+    for (size_t R = B * ReadBatch; R < End; ++R) {
+      const ChunkRef &C = *Reads[R];
+      if (Error E = S.readChunkInto(C, Out.subspan(C.Offset, C.Size))) {
+        Failure[B] = std::move(E);
+        Outcome = Failed;
+        Abandon = true;
+        break;
+      }
     }
-    if (Error E = S.readChunkInto(C, Dst))
-      return E;
+    State[B] = Outcome;
+    State[B].notify_one();
+    return true;
+  };
+
+  // Declared after everything the helpers use, so every return path joins
+  // them first: no helper outlives the call. The caller returns early only
+  // on a failed batch, which has abandoned the rest already.
+  std::vector<std::jthread> Helpers;
+  unsigned Cores = std::thread::hardware_concurrency();
+  size_t Wanted = ioFaultHook() || Batches < 2
+                      ? 0
+                      : std::min<size_t>({MaxHelpers, Cores ? Cores - 1 : 0,
+                                          Batches - 1});
+  for (size_t I = 0; I < Wanted; ++I) {
+    try {
+      Helpers.emplace_back([&] {
+        while (RunBatch()) {
+        }
+      });
+    } catch (const std::system_error &) {
+      break; // fewer helpers only means the caller reads more
+    }
+  }
+
+  Sha256 Total;
+  size_t Consumed = 0; // reads behind the caller
+  for (size_t I = 0; I < M.Chunks.size(); ++I) {
+    const ChunkRef &C = M.Chunks[I];
+    std::span<uint8_t> Dst = Out.subspan(C.Offset, C.Size);
+    if (const ChunkRef *From = CopyOf[I]) {
+      std::copy_n(Out.data() + From->Offset, C.Size, Dst.data());
+    } else if (size_t R = Consumed++; R % ReadBatch == 0) {
+      size_t B = R / ReadBatch; // the first read of batch B
+      while (State[B] == Pending && RunBatch()) {
+      }
+      State[B].wait(Pending);
+      if (State[B] == Failed)
+        return std::move(Failure[B]);
+    }
+    Total.update(Dst);
   }
   // Belt and braces: per-chunk digests already matched, but the cheap
   // whole-artifact check also catches manifest chunk-list tampering that
   // survived the seal (it cannot, in practice) and our own bugs.
-  Sha256Digest Total = Sha256::digest(Out);
-  if (Total != M.Total)
+  Sha256Digest Got = Total.final();
+  if (Got != M.Total)
     return makeCodedError("EFAULT.STORE.DIGEST",
                           "artifact '%s' reassembles to %s but manifest "
                           "records %s",
-                          M.Name.c_str(), Total.hex().c_str(),
+                          M.Name.c_str(), Got.hex().c_str(),
                           M.Total.hex().c_str());
-  return Out;
+  return Error::success();
 }
 
 } // namespace
@@ -170,7 +256,10 @@ elfie::store::loadArtifact(const ChunkStore &S, const std::string &Name) {
   auto M = S.getManifest(Name);
   if (!M)
     return M.takeError();
-  return assemble(S, *M);
+  std::vector<uint8_t> Bytes(M->Size);
+  if (Error E = assembleInto(S, *M, Bytes))
+    return E;
+  return Bytes;
 }
 
 Error elfie::store::materializeArtifact(const ChunkStore &S,
@@ -180,10 +269,12 @@ Error elfie::store::materializeArtifact(const ChunkStore &S,
   auto Parsed = S.getManifest(Name);
   if (!Parsed)
     return Parsed.takeError();
-  auto Bytes = assemble(S, *Parsed);
-  if (!Bytes)
-    return Bytes.takeError();
-  if (Error E = writeFileAtomic(OutPath, Bytes->data(), Bytes->size(),
+  // Every byte is written by a chunk read or copy, so the buffer is not
+  // zero-filled first.
+  auto Bytes = std::make_unique_for_overwrite<uint8_t[]>(Parsed->Size);
+  if (Error E = assembleInto(S, *Parsed, {Bytes.get(), Parsed->Size}))
+    return E;
+  if (Error E = writeFileAtomic(OutPath, Bytes.get(), Parsed->Size,
                                 /*Executable=*/Parsed->Kind == "elf"))
     return E;
   if (M)

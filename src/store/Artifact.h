@@ -59,17 +59,25 @@ Expected<Manifest> putArtifact(ChunkStore &S, const std::string &Name,
                                std::span<const uint8_t> Bytes,
                                const std::string &Source = "");
 
-/// Reassembles artifact \p Name with end-to-end verification: each
-/// distinct chunk is read once into place and digest-checked there
-/// (repeats are copied from the verified bytes), and the whole artifact is
-/// checked against the manifest's digest. Corruption anywhere is a typed
-/// EFAULT.STORE.* error, never silently wrong bytes.
+/// Reassembles artifact \p Name with end-to-end verification, in one
+/// pipelined pass (DESIGN.md §15.2): each distinct chunk is read once into
+/// place and digest-checked there by ChunkStore::readChunkInto, on up to
+/// three helper threads; the calling thread follows in offset order,
+/// copies repeats from the verified bytes and hashes the whole artifact
+/// against the manifest's digest as it goes. Corruption anywhere is a
+/// typed EFAULT.STORE.* error, never silently wrong bytes; with several
+/// bad chunks it is the error of the first failing read in offset order.
+/// Every helper is joined before return. With an I/O fault hook installed
+/// there are no helpers, so the hook sees one read per distinct chunk in
+/// offset order.
 Expected<std::vector<uint8_t>> loadArtifact(const ChunkStore &S,
                                             const std::string &Name);
 
-/// loadArtifact + atomic write to \p OutPath (marked executable for
-/// kind "elf"). The produced file is byte-identical with the ingested
-/// original. \p M receives the manifest the bytes were verified against
+/// The same verified reassembly, into a buffer that is not zero-filled
+/// first, then an atomic write to \p OutPath (marked executable for kind
+/// "elf") once the whole-artifact digest has matched. The produced file is
+/// byte-identical with the ingested original; on error no file is left
+/// behind. \p M receives the manifest the bytes were verified against
 /// when non-null.
 Error materializeArtifact(const ChunkStore &S, const std::string &Name,
                           const std::string &OutPath, Manifest *M = nullptr);

@@ -225,6 +225,21 @@ TEST(Assembler, MarkerInstruction) {
   EXPECT_EQ(Insts[0].Imm, 42);
 }
 
+TEST(Assembler, MarkerKindMustFitEightBits) {
+  auto Insts = assembleText("  marker 255, 1\n");
+  ASSERT_EQ(Insts.size(), 1u);
+  EXPECT_EQ(Insts[0].Rd, 255);
+  EXPECT_EQ(Insts[0].Imm, 1);
+  for (const char *Src :
+       {"  nop\n  marker 300, 1\n", "  nop\n  marker -1, 1\n"}) {
+    auto P = assembleString(Src, "bad.s");
+    ASSERT_FALSE(P.hasValue()) << Src;
+    EXPECT_NE(P.message().find("bad.s:2"), std::string::npos) << P.message();
+    EXPECT_NE(P.message().find("out of 8-bit range"), std::string::npos)
+        << P.message();
+  }
+}
+
 TEST(Assembler, FloatingPointForms) {
   auto Insts = assembleText("  fadd f1, f2, f3\n"
                             "  fsqrt f4, f1\n"

@@ -882,3 +882,182 @@ TEST(ReadChunkInto, HeavyDuplicationLoadsByteIdentical) {
 
   removeTree(Dir);
 }
+
+//===----------------------------------------------------------------------===//
+// Pipelined reassembly: artifacts large enough to use reader threads
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// 720 random pages where every ninth repeats the page eight before it,
+/// then a 100-byte tail: 641 distinct chunks over 721 references, so the
+/// reads span many batches.
+std::vector<uint8_t> manyDistinctPages() {
+  std::vector<uint8_t> Out;
+  for (size_t I = 0; I < 720; ++I) {
+    auto Page = randomBytes(5000 + (I % 9 == 8 ? I - 8 : I), 4096);
+    Out.insert(Out.end(), Page.begin(), Page.end());
+  }
+  auto Tail = randomBytes(4999, 100);
+  Out.insert(Out.end(), Tail.begin(), Tail.end());
+  return Out;
+}
+
+/// The first reference of each digest, in offset order: the chunk reads.
+std::vector<ChunkRef> distinctInOrder(const Manifest &M) {
+  std::set<Sha256Digest> Seen;
+  std::vector<ChunkRef> Out;
+  for (const ChunkRef &C : M.Chunks)
+    if (Seen.insert(C.Digest).second)
+      Out.push_back(C);
+  return Out;
+}
+
+bool leftOutput(const std::string &Dir) {
+  auto Names = listDirectory(Dir);
+  EXPECT_TRUE(Names.hasValue());
+  for (const std::string &N : *Names)
+    if (N.rfind("out", 0) == 0)
+      return true;
+  return false;
+}
+
+} // namespace
+
+TEST(Artifact, ManyDistinctChunksLoadAndMaterializeByteIdentical) {
+  std::string Dir = tempDir("manydistinct");
+  auto S = ChunkStore::open(Dir + "/pool");
+  ASSERT_TRUE(S.hasValue());
+  auto A = manyDistinctPages();
+  auto M = putArtifact(*S, "a", A);
+  ASSERT_TRUE(M.hasValue()) << M.message();
+  EXPECT_EQ(M->Chunks.size(), 721u);
+  EXPECT_EQ(distinctDigests(*M), 641u);
+
+  auto L = loadArtifact(*S, "a");
+  ASSERT_TRUE(L.hasValue()) << L.message();
+  EXPECT_EQ(*L, A);
+  Manifest Back;
+  ASSERT_FALSE(materializeArtifact(*S, "a", Dir + "/out", &Back).isError());
+  EXPECT_EQ(Back.render(), M->render());
+  auto Out = readFileBytes(Dir + "/out");
+  ASSERT_TRUE(Out.hasValue());
+  EXPECT_EQ(*Out, A);
+
+  removeTree(Dir);
+}
+
+/// A corrupt, missing or wrong-size chunk at the first, a middle or the
+/// last distinct position, with faults of the other kinds at every later
+/// probed position (the next read, in the same batch, and the later
+/// batches): the error is the earliest one in offset order, and
+/// materialize leaves no file behind.
+TEST(Artifact, ManyDistinctChunksReportEarliestFailure) {
+  std::string Dir = tempDir("earliest");
+  auto S = ChunkStore::open(Dir + "/pool");
+  ASSERT_TRUE(S.hasValue());
+  auto A = manyDistinctPages();
+  auto M = putArtifact(*S, "a", A);
+  ASSERT_TRUE(M.hasValue()) << M.message();
+  std::vector<ChunkRef> Reads = distinctInOrder(*M);
+  ASSERT_EQ(Reads.size(), 641u);
+  const size_t Mid = Reads.size() / 2, Last = Reads.size() - 1;
+  const std::vector<size_t> Probes = {0, 1, Mid, Mid + 1, Last};
+
+  auto Good = [&](const ChunkRef &C) {
+    return std::vector<uint8_t>(A.begin() + C.Offset,
+                                A.begin() + C.Offset + C.Size);
+  };
+  struct Fault {
+    const char *Name;
+    const char *Code;
+  };
+  const Fault Faults[] = {{"corrupt", "EFAULT.STORE.DIGEST"},
+                          {"missing", "EFAULT.STORE.MISSING"},
+                          {"wrong-size", "EFAULT.STORE.MANIFEST"}};
+  auto Inject = [&](size_t Kind, const ChunkRef &C) {
+    std::vector<uint8_t> Bytes = Good(C);
+    if (Kind == 0) {
+      Bytes[Bytes.size() / 2] ^= 0x10;
+      rewriteChunk(*S, C.Digest, Bytes);
+    } else if (Kind == 1) {
+      removeFile(S->chunkPath(C.Digest));
+    } else {
+      Bytes.push_back(0);
+      rewriteChunk(*S, C.Digest, Bytes);
+    }
+  };
+
+  for (size_t P = 0; P < Probes.size(); ++P) {
+    if (Probes[P] != 0 && Probes[P] != Mid && Probes[P] != Last)
+      continue;
+    for (size_t Kind = 0; Kind < 3; ++Kind) {
+      const ChunkRef &First = Reads[Probes[P]];
+      std::string What = formatString("%s at distinct chunk %zu",
+                                      Faults[Kind].Name, Probes[P]);
+      for (size_t Q : Probes)
+        rewriteChunk(*S, Reads[Q].Digest, Good(Reads[Q]));
+      Inject(Kind, First);
+      for (size_t Later = P + 1; Later < Probes.size(); ++Later)
+        Inject((Kind + Later - P) % 3, Reads[Probes[Later]]);
+
+      auto L = loadArtifact(*S, "a");
+      ASSERT_FALSE(L.hasValue()) << What;
+      EXPECT_EQ(L.error().code(), Faults[Kind].Code)
+          << What << ": " << L.message();
+      EXPECT_NE(L.message().find(First.Digest.hex()), std::string::npos)
+          << What << ": " << L.message();
+
+      Error E = materializeArtifact(*S, "a", Dir + "/out");
+      EXPECT_EQ(E.code(), Faults[Kind].Code) << What << ": " << E.str();
+      EXPECT_NE(E.message().find(First.Digest.hex()), std::string::npos)
+          << What << ": " << E.str();
+      EXPECT_FALSE(leftOutput(Dir)) << What;
+    }
+  }
+
+  // Repaired, it loads again.
+  for (size_t Q : Probes)
+    rewriteChunk(*S, Reads[Q].Digest, Good(Reads[Q]));
+  auto L = loadArtifact(*S, "a");
+  ASSERT_TRUE(L.hasValue()) << L.message();
+  EXPECT_EQ(*L, A);
+
+  removeTree(Dir);
+}
+
+/// Under an I/O fault hook the reads stay serial and in offset order: a
+/// clean load is one manifest read plus one read per distinct chunk, and a
+/// fault at the Nth read stops the load right there.
+TEST(Artifact, ManyDistinctChunksHookedReadsStayInOrder) {
+  std::string Dir = tempDir("hookedmany");
+  auto S = ChunkStore::open(Dir + "/pool");
+  ASSERT_TRUE(S.hasValue());
+  auto A = manyDistinctPages();
+  auto M = putArtifact(*S, "a", A);
+  ASSERT_TRUE(M.hasValue()) << M.message();
+  size_t Distinct = distinctDigests(*M);
+
+  fault::FaultPlan Clean;
+  setIOFaultHook(&Clean);
+  auto L = loadArtifact(*S, "a");
+  setIOFaultHook(nullptr);
+  ASSERT_TRUE(L.hasValue()) << L.message();
+  EXPECT_EQ(*L, A);
+  EXPECT_EQ(Clean.readsSeen(), 1 + Distinct);
+
+  for (size_t Nth : {size_t(2), size_t(66), 1 + Distinct / 2, 1 + Distinct}) {
+    std::string Spec = formatString("read:%zu:flip,seed=%zu", Nth, Nth);
+    fault::FaultPlan Plan;
+    ASSERT_FALSE(Plan.parse(Spec).isError());
+    setIOFaultHook(&Plan);
+    auto Bad = loadArtifact(*S, "a");
+    setIOFaultHook(nullptr);
+    ASSERT_FALSE(Bad.hasValue()) << Spec;
+    EXPECT_EQ(Bad.error().code(), "EFAULT.STORE.DIGEST")
+        << Spec << ": " << Bad.message();
+    EXPECT_EQ(Plan.readsSeen(), Nth) << Spec;
+  }
+
+  removeTree(Dir);
+}
