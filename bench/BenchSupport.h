@@ -320,7 +320,7 @@ simBasedValidation(const std::string &ProgramPath,
 inline ValidationResult
 elfieBasedValidation(const std::string &ProgramPath,
                      const simpoint::PinPointsResult &Sel,
-                     const std::string &Dir, unsigned Trials = 3) {
+                     const std::string &Dir) {
   ValidationResult Out;
   // True value: whole-program ELFie (captured from instruction 0).
   auto WholeSeg = captureSegments(ProgramPath, {{0, UINT64_MAX / 2}});
@@ -372,7 +372,6 @@ elfieBasedValidation(const std::string &ProgramPath,
   Out.ErrorPct = 100.0 * (Out.TrueCPI - Out.PredictedCPI) / Out.TrueCPI;
   Out.CoveragePct = 100.0 * Covered;
   Out.OK = true;
-  (void)Trials;
   return Out;
 }
 

@@ -12,7 +12,8 @@
 /// replayer interprets EG64 while the ELFie executes translated x86-64,
 /// so the absolute ratio is larger; the reproduced *shape* is: replay pays
 /// a large multiple, MT replay pays more than ST replay, and the ELFie
-/// pays only startup.
+/// pays only startup. The simulator cases time the 8-core timing model
+/// on the MT region (reported only).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,6 +38,8 @@ struct State {
   std::string Dir;
   pinball::Pinball ST, MT;
   std::string STElfie, MTElfie;
+  /// The MT region as a guest ELFie, for the simulator cases.
+  std::vector<uint8_t> MTGuestElfie;
 };
 State *G = nullptr;
 
@@ -67,6 +70,15 @@ void setup() {
   G->MTElfie = G->Dir + "/mt.elfie";
   exitOnError(core::pinballToElfFile(G->ST, Opts, G->STElfie));
   exitOnError(core::pinballToElfFile(G->MT, Opts, G->MTElfie));
+
+  core::Pinball2ElfOptions GuestOpts;
+  GuestOpts.TargetKind = core::Pinball2ElfOptions::Target::Guest;
+  auto Guest = core::pinballToElf(G->MT, GuestOpts);
+  if (!Guest) {
+    std::fprintf(stderr, "setup failed: %s\n", Guest.message().c_str());
+    std::exit(1);
+  }
+  G->MTGuestElfie = std::move(*Guest);
 }
 
 void runElfie(const std::string &Path) {
@@ -113,6 +125,27 @@ void BM_ConstrainedReplay_MT(benchmark::State &S) {
   }
 }
 BENCHMARK(BM_ConstrainedReplay_MT)->Unit(benchmark::kMillisecond);
+
+// The multicore timing model (gainestown8) over the MT region, once per
+// front-end: the guest ELFie runs unconstrained, its threads scheduled by
+// core cycles; the pinball replays constrained to its recorded schedule.
+void BM_SimulateElfie_MT(benchmark::State &S) {
+  sim::MachineConfig Machine = sim::makeGainestown8();
+  for (auto _ : S) {
+    auto R = sim::simulateBinaryImage(G->MTGuestElfie, Machine);
+    benchmark::DoNotOptimize(R.hasValue());
+  }
+}
+BENCHMARK(BM_SimulateElfie_MT)->Unit(benchmark::kMillisecond);
+
+void BM_SimulatePinball_MT(benchmark::State &S) {
+  sim::MachineConfig Machine = sim::makeGainestown8();
+  for (auto _ : S) {
+    auto R = sim::simulatePinball(G->MT, Machine, /*Constrained=*/true);
+    benchmark::DoNotOptimize(R.hasValue());
+  }
+}
+BENCHMARK(BM_SimulatePinball_MT)->Unit(benchmark::kMillisecond);
 
 void BM_ConstrainedReplay_ST_NoDecodeCache(benchmark::State &S) {
   replay::ReplayOptions Opts;

@@ -14,6 +14,7 @@
 #include "support/MappedFile.h"
 #include "support/Sha256.h"
 
+#include <climits>
 #include <functional>
 #include <optional>
 
@@ -143,9 +144,18 @@ public:
     return std::move(Out);
   }
 
+  /// The core thread \p Tid runs on. The VM numbers threads densely in
+  /// creation order and they map round-robin onto the cores; the mapping
+  /// is tabulated as tids appear, so no event pays a division for it.
+  unsigned coreOf(uint32_t Tid) {
+    while (Tid >= TidCore.size())
+      TidCore.push_back(static_cast<unsigned>(TidCore.size() % NumCores));
+    return TidCore[Tid];
+  }
+
   void onInstruction(const vm::ThreadState &T, uint64_t PC,
                      const isa::Inst &I) override {
-    unsigned Core = T.Tid % NumCores;
+    unsigned Core = coreOf(T.Tid);
     LastOp[Core] = I.Op;
     ++TotalSeen;
     if (Ph == Phase::FastForward)
@@ -176,16 +186,16 @@ public:
   void onMemoryAccess(uint32_t Tid, uint64_t Addr, uint32_t Size,
                       bool IsWrite) override {
     if (Ph == Phase::Detailed)
-      Model.memoryAccess(Tid % NumCores, Addr, Size, IsWrite);
+      Model.memoryAccess(coreOf(Tid), Addr, Size, IsWrite);
     else if (Ph == Phase::Warming)
-      Model.warmMemoryAccess(Tid % NumCores, Addr, Size, IsWrite);
+      Model.warmMemoryAccess(coreOf(Tid), Addr, Size, IsWrite);
   }
 
   void onControlTransfer(uint32_t Tid, uint64_t FromPC, uint64_t ToPC,
                          bool Taken) override {
     if (Ph != Phase::Detailed && Ph != Phase::Warming)
       return;
-    unsigned Core = Tid % NumCores;
+    unsigned Core = coreOf(Tid);
     isa::Opcode Op = LastOp[Core];
     // Unconditional direct transfers are perfectly predictable; only
     // conditional branches train the direction predictor and only
@@ -206,7 +216,7 @@ public:
     // warming phase produces.
     if (Ph != Phase::Detailed)
       return;
-    Model.syscall(Tid % NumCores, Nr);
+    Model.syscall(coreOf(Tid), Nr);
   }
 
   void onMarker(uint32_t, isa::MarkerKind, int32_t) override {
@@ -259,6 +269,8 @@ private:
   /// transfer.
   std::vector<isa::Opcode> LastOp =
       std::vector<isa::Opcode>(NumCores, isa::Opcode::Jmp);
+  /// coreOf()'s table, indexed by tid.
+  std::vector<unsigned> TidCore;
 };
 
 /// Cheap canonical identity for a checkpointed pinball: the region meta
@@ -403,22 +415,36 @@ sim::simulateBinaryImage(std::span<const uint8_t> Image,
     // accumulated cycles, so slow (miss-heavy) threads fall behind and
     // spin-waiting peers really spin. This is what makes unconstrained
     // ELFie simulation diverge from constrained pinball replay (Fig. 11).
+    // Ties go to the earliest-created live thread.
+    //
+    // The live threads, in creation order, with their cores' cycle counts.
+    // One instruction creates or ends at most one thread, so the list is
+    // rebuilt exactly when the live count changes.
+    struct LiveThread {
+      uint32_t Tid;
+      const double *Cycles;
+    };
+    std::vector<LiveThread> Live;
+    unsigned LiveBuiltFor = UINT_MAX; // no list yet
     const std::vector<CoreStats> &Cores = S.Model.stats().Cores;
-    R.Reason = vm::StopReason::AllExited;
     while (true) {
-      std::vector<uint32_t> Live = M.liveThreadIds();
+      if (M.liveThreadCount() != LiveBuiltFor) {
+        LiveBuiltFor = M.liveThreadCount();
+        Live.clear();
+        for (uint32_t Tid : M.liveThreadIds())
+          Live.push_back({Tid, &Cores[S.coreOf(Tid)].Cycles});
+      }
       if (Live.empty()) {
         R.Reason = vm::StopReason::AllExited;
         R.ExitCode = M.exitCode();
         break;
       }
-      uint32_t Pick = Live[0];
-      double Best = Cores[Pick % Machine.NumCores].Cycles;
-      for (uint32_t Tid : Live) {
-        double C = Cores[Tid % Machine.NumCores].Cycles;
-        if (C < Best) {
-          Best = C;
-          Pick = Tid;
+      uint32_t Pick = Live[0].Tid;
+      double Best = *Live[0].Cycles;
+      for (const LiveThread &T : Live) {
+        if (*T.Cycles < Best) {
+          Best = *T.Cycles;
+          Pick = T.Tid;
         }
       }
       vm::StopReason SR = M.stepThread(Pick);

@@ -17,6 +17,8 @@
 ///  * the checkpoint-index regression pin: the boundary lands on the same
 ///    global retired index across the interpreted save, JIT save, and
 ///    resume paths (the PR-6 fast-forward off-by-one class).
+///  * the multicore scheduler pins: per-core counts and the SimStats digest
+///    of three gainestown8 runs fix the cycles-driven interleaving.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -767,6 +769,144 @@ TEST(CheckpointIndex, SameBoundaryAcrossAllPaths) {
   EXPECT_EQ(boundary(1000, /*Save=*/false, /*UseJit=*/false),
             Startup + 1000)
       << "interpreted resume is off by one at the ROI marker";
+}
+
+// ---- Multicore scheduler pins ----
+//
+// The execution-driven scheduler advances the live thread whose core has
+// the fewest cycles, the earliest-created thread winning ties. Each pin
+// fixes the resulting interleaving through the per-core instruction and
+// coherence-invalidation counts and the digest of the whole SimStats, so
+// any change to the pick, the tie rule or the tid -> core mapping shows.
+
+struct CorePin {
+  uint64_t Instructions;
+  uint64_t CoherenceInvalidations;
+};
+
+void expectSchedulePin(const SimResult &R, const std::vector<CorePin> &Want,
+                       const std::string &WantDigest) {
+  std::vector<uint8_t> Bytes = statsBytes(R.Stats);
+  std::string Digest = sha256Hex(Bytes.data(), Bytes.size());
+  std::string Got;
+  for (const CoreStats &C : R.Stats.Cores)
+    Got += "{" + std::to_string(C.Instructions) + ", " +
+           std::to_string(C.CoherenceInvalidations) + "}, ";
+  ASSERT_EQ(R.Stats.Cores.size(), Want.size()) << Got;
+  for (size_t I = 0; I < Want.size(); ++I) {
+    EXPECT_EQ(R.Stats.Cores[I].Instructions, Want[I].Instructions)
+        << "core " << I << "; all cores: " << Got;
+    EXPECT_EQ(R.Stats.Cores[I].CoherenceInvalidations,
+              Want[I].CoherenceInvalidations)
+        << "core " << I << "; all cores: " << Got;
+  }
+  EXPECT_EQ(Digest, WantDigest);
+}
+
+Expected<SimResult> simulateSource(const std::string &Src,
+                                   const MachineConfig &Machine) {
+  auto Image = easm::assembleToELF(Src, "sched.s");
+  if (!Image)
+    return Image.takeError();
+  return simulateBinaryImage(*Image, Machine);
+}
+
+TEST(MulticoreSchedulePin, EightThreadBinary) {
+  auto R = simulateSource(test::multiThreadProgram(8, 2, 300),
+                          makeGainestown8());
+  ASSERT_TRUE(R.hasValue()) << R.message();
+  EXPECT_EQ(R->Reason, vm::StopReason::AllExited);
+  expectSchedulePin(
+      *R,
+      {{4343, 1081}, {9564, 1039}, {34249, 883}, {81409, 569},
+       {88054, 524}, {88299, 528}, {88464, 518}, {88714, 518}},
+      "fe38dc2229f321522434951ddd3edff3"
+      "274e426865f486755657bb82dc04bbf8");
+}
+
+/// Twelve threads that each run \p Work shared-counter increments and
+/// exit, with no barrier: on eight cores, threads 8..11 share the cycle
+/// counts of threads 0..3. (A spin barrier would never finish: the
+/// earlier thread of a pair always wins the tie, so its later partner
+/// never runs while it spins.)
+std::string twelveThreadProgram(int Work) {
+  return R"(
+  .equ NTHREADS, 12
+  .equ WORK, )" + std::to_string(Work) + R"(
+_start:
+  ldi  r9, 1
+spawn:
+  ldi  r7, 9               # clone(entry=worker, stack, arg=index)
+  la   r1, worker
+  la   r2, stacks
+  muli r3, r9, 8192
+  add  r2, r2, r3
+  mov  r3, r9
+  syscall
+  addi r9, r9, 1
+  slti r4, r9, NTHREADS
+  bnez r4, spawn
+worker:                    # the main thread works too, then exits
+  ldi  r12, 0
+work:
+  la   r2, total
+  ldi  r3, 1
+  amoadd r4, (r2), r3
+  addi r12, r12, 1
+  slti r5, r12, WORK
+  bnez r5, work
+  ldi  r7, 0               # exit(0); the last one ends the program
+  ldi  r1, 0
+  syscall
+
+  .bss
+  .align 8
+total:  .space 8
+stacks: .space )" + std::to_string(8192 * 13) + R"(
+)";
+}
+
+TEST(MulticoreSchedulePin, TwelveThreadsShareCores) {
+  // Two live threads on one core see the same cycle count, so the
+  // earliest-created-wins rule decides every pick between them.
+  auto R = simulateSource(twelveThreadProgram(300), makeGainestown8());
+  ASSERT_TRUE(R.hasValue()) << R.message();
+  EXPECT_EQ(R->Reason, vm::StopReason::AllExited);
+  expectSchedulePin(
+      *R,
+      {{4341, 579}, {4208, 580}, {4208, 512}, {4208, 509},
+       {2104, 209}, {2104, 206}, {2104, 206}, {2104, 187}},
+      "d92e8d69b8448a3f212e3aa822dcf1e7"
+      "9fbca2bbc348267a0735164fb5010497");
+}
+
+TEST(MulticoreSchedulePin, WarmedElfieEndsAtStopPC) {
+  std::string Src = test::multiThreadProgram(8, 4, 2000);
+  std::string Dir = tempDir("schedpin");
+  auto PB = test::capture(Dir, Src, 40000, 24000,
+                          pinball::LoggerOptions::fat());
+  ASSERT_TRUE(PB.hasValue()) << PB.message();
+  core::Pinball2ElfOptions Opts;
+  Opts.TargetKind = core::Pinball2ElfOptions::Target::Guest;
+  auto Image = core::pinballToElf(*PB, Opts);
+  ASSERT_TRUE(Image.hasValue()) << Image.message();
+  auto Prog = easm::assembleString(Src, "sched.s");
+  ASSERT_TRUE(Prog.hasValue()) << Prog.message();
+
+  RunControls Controls;
+  Controls.WarmupInstructions = 2000;
+  Controls.StopPC = Prog->Symbols.at("work");
+  Controls.StopPCCount = 1500;
+  auto R = simulateBinaryImage(*Image, makeGainestown8(), Controls);
+  ASSERT_TRUE(R.hasValue()) << R.message();
+  EXPECT_EQ(R->Reason, vm::StopReason::Stopped);
+  EXPECT_LT(R->RoiRetired, 22000u) << "the StopPC condition ends the run";
+  expectSchedulePin(
+      *R,
+      {{5540, 103}, {805, 103}, {786, 101}, {786, 101},
+       {786, 101}, {786, 101}, {786, 101}, {772, 99}},
+      "b6fe9c5e6cfa0b796abb1cc374e3791d"
+      "c154f1167566a908bb6699d2024bc90a");
 }
 
 } // namespace
